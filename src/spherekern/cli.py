@@ -26,7 +26,7 @@ from .experiments import (
     error_rate_experiment,
     mig_growth_experiment,
 )
-from .kernels import make_kernel
+from .kernels import _check_unit_rows, make_kernel
 from .regression import (
     InfoGainReport,
     effective_dimension,
@@ -263,9 +263,7 @@ def _u_values(cfg):
     d = rows.shape[1] // 2
     x, y = rows[:, :d], rows[:, d:]
     for name, pts in (("first", x), ("second", y)):
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
-            raise ConfigurationError(f"{name} points in pair file are not unit-norm")
+        _check_unit_rows(pts, f"{name} point of pair-file row")
     return np.sum(x * y, axis=1)
 
 

@@ -10,7 +10,8 @@ Two kernel families are supported for the power-ReLU activations
 
 Both are functions of the inner product ``u = x . x'`` of unit vectors.
 Closed forms are available for ``s in {0, 1, 2, 3}``; deeper networks
-(``l > 2``) are handled by the layer recursion.  A seeded Monte-Carlo
+(``l > 2``) are handled by the layer recursion.  Every public evaluation
+validates ``u`` once, on entry (NaN is rejected).  A seeded Monte-Carlo
 oracle estimates the defining Gaussian expectations directly and is used
 to validate the closed forms.
 """
@@ -36,48 +37,71 @@ _SUPPORTED_S = (1, 2, 3)
 def _as_ufloat(u):
     """Validate and clamp an inner-product argument.
 
-    Returns (array, was_scalar).  Raises DomainError if any entry lies
-    outside [-1 - U_CLAMP_TOL, 1 + U_CLAMP_TOL].
+    Returns (array, was_scalar), a scalar as a 1-element array.  Raises
+    DomainError if any entry is NaN or lies outside [-1 - U_CLAMP_TOL,
+    1 + U_CLAMP_TOL].  Only clamping copies, so never write into the array.
     """
     arr = np.asarray(u, dtype=float)
     excess = np.max(np.abs(arr), initial=0.0) - 1.0
+    if np.isnan(excess):
+        raise DomainError("inner product is NaN")
     if excess > U_CLAMP_TOL:
         raise DomainError(
             f"inner product outside [-1, 1] by {excess:.3e} (tolerance {U_CLAMP_TOL:.0e})"
         )
-    return np.clip(arr, -1.0, 1.0), arr.ndim == 0
+    clamped = np.clip(arr, -1.0, 1.0) if excess > 0.0 else arr
+    return np.atleast_1d(clamped), arr.ndim == 0
 
 
-def _sin_theta(u):
-    # sqrt(1 - u^2) computed as sqrt((1-u)(1+u)) to avoid cancellation near |u| = 1
-    return np.sqrt(np.maximum((1.0 - u) * (1.0 + u), 0.0))
+def _kappa_pair(s, u, slope=True):
+    """``(kappa_s(u), kappa_s'(u) = (s^2/(2s-1)) * kappa_{s-1}(u))`` for a validated u.
 
-
-def _kappa0(u):
-    return 1.0 - np.arccos(u) / np.pi
-
-
-def _kappa1(u):
-    return (u * (np.pi - np.arccos(u)) + _sin_theta(u)) / np.pi
-
-
-def _kappa2(u):
+    The closed forms for s >= 1 are polynomials in ``u``, ``pi - arccos(u)``
+    and ``sin(arccos(u))``, each computed once.  ``slope=False`` returns None
+    for the slope and also admits s = 0.
+    """
+    if s not in range(int(slope), 4):
+        raise UnsupportedSmoothnessError(
+            f"no closed form for s={s}; supported s in {list(range(int(slope), 4))}"
+        )
     theta = np.arccos(u)
-    sin_t = _sin_theta(u)
-    return (3.0 * sin_t * u + (np.pi - theta) * (1.0 + 2.0 * u * u)) / (3.0 * np.pi)
+    k0 = 1.0 - theta / np.pi if s == 0 or (s == 1 and slope) else None
+    if s == 0:
+        return k0, None
+    t = np.subtract(np.pi, theta, out=theta)
+    # sin(theta) as sqrt((1-u)(1+u)) avoids cancellation near |u| = 1; both
+    # factors are >= 0 for u in [-1, 1]
+    sin_t = (1.0 - u) * (1.0 + u)
+    np.sqrt(sin_t, out=sin_t)
+
+    def kappa(k):
+        if k == 0:
+            return k0
+        if k == 1:
+            return (u * t + sin_t) / np.pi
+        if k == 2:
+            return (3.0 * sin_t * u + t * (1.0 + 2.0 * u * u)) / (3.0 * np.pi)
+        return (
+            15.0 * sin_t - 11.0 * (sin_t * sin_t * sin_t) + t * (9.0 * u + 6.0 * (u * u * u))
+        ) / (15.0 * np.pi)
+
+    return kappa(s), s * s / (2.0 * s - 1.0) * kappa(s - 1) if slope else None
 
 
-def _kappa3(u):
-    theta = np.arccos(u)
-    sin_t = _sin_theta(u)
-    return (
-        15.0 * sin_t
-        - 11.0 * sin_t**3
-        + (np.pi - theta) * (9.0 * u + 6.0 * u**3)
-    ) / (15.0 * np.pi)
-
-
-_CLOSED_FORMS = {0: _kappa0, 1: _kappa1, 2: _kappa2, 3: _kappa3}
+def _evaluate(u, s, l=2, nt=False, drop_c2=False):
+    """Validate ``u`` once, then run the depth-``l`` RF or NT layer recursion on it."""
+    if l < 2:
+        raise ConfigurationError(f"depth l must be >= 2, got {l}")
+    arr, scalar = _as_ufloat(u)
+    rf, d_rf = _kappa_pair(s, arr, nt)
+    c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
+    val = arr * d_rf + rf if nt else rf
+    for _ in range(l - 2):
+        d_rf = None  # free the last layer's slope before the next evaluation
+        # rounding can lift a layer's value past 1, outside arccos's domain
+        rf, d_rf = _kappa_pair(s, np.clip(rf, -1.0, 1.0, out=rf), nt)
+        val = c2 * val * d_rf + rf if nt else rf
+    return float(val[0]) if scalar else val
 
 
 def double_factorial_odd(s):
@@ -91,42 +115,30 @@ def rf_closed(s, u):
     Parameters
     ----------
     s : int in {0, 1, 2, 3}
-        Activation power.  ``s = 0`` is the step-function kernel, used
-        internally by the derivative identity.
+        Activation power.  ``s = 0`` is the step-function kernel, the
+        rescaled derivative of ``kappa_1``.
     u : float or array
-        Inner product(s) in [-1, 1] (clamped within 1e-12).
+        Inner product(s) in [-1, 1] (clamped within 1e-12; NaN raises
+        :class:`DomainError`), validated once per call and never modified.
     """
-    if s not in _CLOSED_FORMS:
-        raise UnsupportedSmoothnessError(
-            f"no closed form for s={s}; supported s in {sorted(_CLOSED_FORMS)}"
-        )
-    arr, scalar = _as_ufloat(u)
-    val = _CLOSED_FORMS[s](arr)
-    return float(val) if scalar else val
+    return _evaluate(u, s)
 
 
 def rf_derivative(s, u):
     """Derivative ``kappa_s'(u) = (s^2/(2s-1)) * kappa_{s-1}(u)`` for s >= 1."""
-    if s < 1:
-        raise UnsupportedSmoothnessError(f"derivative requires s >= 1, got s={s}")
-    return s * s / (2.0 * s - 1.0) * rf_closed(s - 1, u)
+    arr, scalar = _as_ufloat(u)
+    val = _kappa_pair(s, arr)[1]
+    return float(val[0]) if scalar else val
 
 
 def nt_two_layer(s, u):
     """2-layer NT kernel ``kappa_NT,s(u) = u * kappa_s'(u) + kappa_s(u)``."""
-    arr, scalar = _as_ufloat(u)
-    val = arr * rf_derivative(s, arr) + rf_closed(s, arr)
-    return float(val) if scalar else val
+    return _evaluate(u, s, nt=True)
 
 
 def rf_deep(s, l, u):
     """Depth-``l`` RF kernel via the composition ``kappa^l = kappa_s(kappa^{l-1})``."""
-    if l < 2:
-        raise ConfigurationError(f"depth l must be >= 2, got {l}")
-    val = rf_closed(s, u)
-    for _ in range(l - 2):
-        val = rf_closed(s, val)
-    return val
+    return _evaluate(u, s, l)
 
 
 def nt_deep(s, l, u, drop_c2=False):
@@ -138,15 +150,7 @@ def nt_deep(s, l, u, drop_c2=False):
     ``Theta^l = Theta^{l-1} * Sigma-dot^l + Sigma^l``; the default keeps the
     factor.
     """
-    if l < 2:
-        raise ConfigurationError(f"depth l must be >= 2, got {l}")
-    c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
-    rf_val = rf_closed(s, u)
-    nt_val = nt_two_layer(s, u)
-    for _ in range(l - 2):
-        nt_val = c2 * nt_val * rf_derivative(s, rf_val) + rf_closed(s, rf_val)
-        rf_val = rf_closed(s, rf_val)
-    return nt_val
+    return _evaluate(u, s, l, nt=True, drop_c2=drop_c2)
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,8 @@ class DotProductKernel:
         self.kappa_one = float(self(1.0))
 
     def __call__(self, u):
-        if self.spec.family == "rf":
-            return rf_deep(self.spec.s, self.spec.l, u)
-        return nt_deep(self.spec.s, self.spec.l, u, drop_c2=self.drop_c2)
+        spec = self.spec
+        return _evaluate(u, spec.s, spec.l, spec.family == "nt", self.drop_c2)
 
     def __repr__(self):
         extra = ", drop_c2=True" if self.drop_c2 else ""
@@ -207,14 +210,13 @@ def make_kernel(family, s, l=2, d=3, drop_c2=False):
     return DotProductKernel(KernelSpec(family, s, l, d), drop_c2=drop_c2)
 
 
-def _check_unit_rows(points, tol=1e-8):
+def _check_unit_rows(points, what="point", tol=1e-8):
+    """``points`` as 2-D rows; DomainError for a row not of norm 1, NaN included."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     norms = np.linalg.norm(points, axis=1)
-    bad = np.nonzero(np.abs(norms - 1.0) > tol)[0]
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
     if bad.size:
-        raise DomainError(
-            f"point {bad[0]} is not unit-norm: |x| = {norms[bad[0]]:.12f}"
-        )
+        raise DomainError(f"{what} {bad[0]} is not unit-norm: |x| = {norms[bad[0]]:.12f}")
     return points
 
 
@@ -229,12 +231,10 @@ def gram(kernel, points, points2=None):
     X = _check_unit_rows(points)
     if points2 is None:
         U = X @ X.T
-        U = np.clip((U + U.T) / 2.0, -1.0, 1.0)
-        K = kernel(U)
-        return (K + K.T) / 2.0
-    Y = _check_unit_rows(points2)
-    U = np.clip(X @ Y.T, -1.0, 1.0)
-    return kernel(U)
+        U = (U + U.T) / 2.0
+    else:
+        U = X @ _check_unit_rows(points2).T
+    return kernel(np.clip(U, -1.0, 1.0, out=U))
 
 
 @dataclass(frozen=True)
@@ -278,11 +278,9 @@ def mc_estimate(spec, x, x_prime, cfg):
         raise ConfigurationError("the Monte-Carlo oracle covers 2-layer kernels only")
     x = np.asarray(x, dtype=float)
     x_prime = np.asarray(x_prime, dtype=float)
-    for v in (x, x_prime):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise DomainError("mc_estimate inputs must be unit vectors")
     if x.shape != (spec.d,) or x_prime.shape != (spec.d,):
         raise ConfigurationError(f"inputs must have shape ({spec.d},)")
+    _check_unit_rows([x, x_prime], "mc_estimate input")
 
     c2 = spec.c_squared
     s = spec.s

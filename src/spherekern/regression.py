@@ -22,11 +22,10 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import (
     ConfigurationError,
-    DomainError,
     IllConditionedGramError,
     ParameterError,
 )
-from .kernels import gram
+from .kernels import _check_unit_rows, gram
 from .serialize import csv_document, json_document
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
@@ -53,10 +52,7 @@ class SphericalDataset:
             raise ParameterError(
                 f"got {X.shape[0]} inputs but {Y.shape[0]} values"
             )
-        norms = np.linalg.norm(X, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > 1e-8)[0]
-        if bad.size:
-            raise DomainError(f"input {bad[0]} is not unit-norm")
+        _check_unit_rows(X, "input")
         if self.noise_scale < 0:
             raise ParameterError("noise_scale must be nonnegative")
         X.setflags(write=False)
@@ -157,10 +153,11 @@ def _chol_with_jitter(A):
             return L, level * scale
         except np.linalg.LinAlgError:
             continue
-    cond = float(np.linalg.cond(A))
+    diag = np.diag(A)
+    ratio = float(np.max(diag) / np.min(diag))
     raise IllConditionedGramError(
         f"Cholesky failed for {n}x{n} system even with jitter "
-        f"{JITTER_LADDER[-1]:.0e}*trace/n (condition estimate {cond:.3e})"
+        f"{JITTER_LADDER[-1]:.0e}*trace/n (diagonal ratio max/min {ratio:.3e})"
     )
 
 
@@ -184,12 +181,7 @@ def fit(kernel, dataset, lam):
 
 def _test_points(model, x):
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 1
-    pts = np.atleast_2d(arr)
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        raise DomainError("test points must be unit-norm")
-    return pts, scalar
+    return _check_unit_rows(arr, "test point"), arr.ndim == 1
 
 
 def predict_mean(model, x):
@@ -341,17 +333,12 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
         raise ConfigurationError("candidate grid is empty")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    norms = np.linalg.norm(grid, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        raise DomainError("candidate grid points must be unit-norm")
 
     m = grid.shape[0]
     kappa_one = kernel.kappa_one
     lam2 = lam * lam
     log_lam = log(lam)
-
-    U = np.clip(grid @ grid.T, -1.0, 1.0)
-    K_grid = kernel((U + U.T) / 2.0)
+    K_grid = gram(kernel, grid)
 
     V = np.empty((n, m))
     L = np.zeros((n, n))

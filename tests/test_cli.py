@@ -57,6 +57,12 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "FitError" in res.stderr
 
+    def test_nan_inner_product_is_two(self):
+        """NaN is a domain error, not a value that reaches the JSON payload."""
+        res = run_cli("kernel-eval", "--family", "nt", "--s", "1", "--u", "nan")
+        assert res.returncode == 2
+        assert "DomainError" in res.stderr and res.stdout == ""
+
     def test_error_message_is_single_line(self):
         res = run_cli("kernel-eval", "--family", "rf", "--s", "5", "--u", "0")
         assert res.stderr.strip().count("\n") == 0
@@ -100,10 +106,11 @@ class TestKernelEval:
 
     def test_pair_file_rejects_non_unit(self, tmp_path):
         pair = tmp_path / "pairs.csv"
-        pair.write_text("2,0,0,0,1,0\n")
-        res = run_cli("kernel-eval", "--family", "nt", "--s", "1",
-                      "--pair-file", pair)
-        assert res.returncode == 2
+        for row in ("2,0,0,0,1,0\n", "1,0,0,nan,1,0\n"):
+            pair.write_text(row)
+            res = run_cli("kernel-eval", "--family", "nt", "--s", "1",
+                          "--pair-file", pair)
+            assert res.returncode == 2
 
     def test_needs_some_input(self):
         res = run_cli("kernel-eval", "--family", "nt", "--s", "1")

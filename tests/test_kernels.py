@@ -195,6 +195,9 @@ class TestGram:
         X = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         with pytest.raises(DomainError, match="point 1"):
             gram(make_kernel("rf", 1), X)
+        X[1] = [np.nan, 0.0, 0.0]
+        with pytest.raises(DomainError, match="point 1"):
+            gram(make_kernel("rf", 1), X)
 
 
 class TestDomainValidation:
@@ -203,6 +206,29 @@ class TestDomainValidation:
             rf_closed(1, 1.001)
         with pytest.raises(DomainError):
             nt_two_layer(2, np.array([0.0, -1.1]))
+        for bad in (np.nan, np.array([0.5, np.nan])):
+            for evaluate in (
+                lambda u: rf_closed(1, u),
+                lambda u: rf_derivative(2, u),
+                lambda u: nt_two_layer(3, u),
+                lambda u: rf_deep(1, 3, u),
+                lambda u: nt_deep(2, 3, u),
+                make_kernel("nt", 1),
+            ):
+                with pytest.raises(DomainError, match="NaN"):
+                    evaluate(bad)
+
+    def test_input_not_modified(self):
+        """In-range input is evaluated without a copy, so it must stay intact."""
+        u = np.linspace(-1.0, 1.0, 101)
+        before = u.copy()
+        for s in (1, 2, 3):
+            rf_closed(s, u)
+            rf_derivative(s, u)
+            nt_deep(s, 3, u)
+            rf_deep(s, 3, u)
+            make_kernel("nt", s)(u)
+        assert_allclose(u, before, rtol=0, atol=0)
 
     def test_clamps_rounding_noise(self):
         assert_allclose(rf_closed(1, 1.0 + 1e-13), 1.0, atol=1e-15)
@@ -252,10 +278,11 @@ class TestMonteCarlo:
 
     def test_rejects_non_unit_input(self):
         spec = KernelSpec("rf", 1)
-        with pytest.raises(DomainError):
-            mc_estimate(
-                spec,
-                np.array([2.0, 0.0, 0.0]),
-                np.array([1.0, 0.0, 0.0]),
-                McOracleConfig(sample_count=100, seed=0),
-            )
+        for bad in ([2.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+            with pytest.raises(DomainError):
+                mc_estimate(
+                    spec,
+                    np.array(bad),
+                    np.array([1.0, 0.0, 0.0]),
+                    McOracleConfig(sample_count=100, seed=0),
+                )

@@ -7,6 +7,7 @@ from spherekern import (
     ConfigurationError,
     DomainError,
     FittedRegressor,
+    IllConditionedGramError,
     ParameterError,
     SphericalDataset,
     confidence_band,
@@ -20,6 +21,7 @@ from spherekern import (
     sample_sphere,
     variance_sum_check,
 )
+from spherekern.regression import _chol_with_jitter
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -35,6 +37,8 @@ class TestSphericalDataset:
     def test_rejects_non_unit_input(self):
         with pytest.raises(DomainError, match="input 1"):
             SphericalDataset(np.array([[1.0, 0, 0], [0, 0.5, 0]]), [1.0, 2.0])
+        with pytest.raises(DomainError, match="input 1"):
+            SphericalDataset(np.array([[1.0, 0, 0], [0, np.nan, 0]]), [1.0, 2.0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
@@ -128,6 +132,11 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit(make_kernel("nt", 1), ds, 0.0)
 
+    def test_indefinite_system_raises(self):
+        """A matrix no ladder jitter can make positive definite fails cleanly."""
+        with pytest.raises(IllConditionedGramError, match="diagonal ratio"):
+            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
 
 class TestPredict:
     def test_empty_model_prior(self):
@@ -198,6 +207,10 @@ class TestPredict:
             predict_mean(model, np.array([1.0, 1.0, 0.0]))
         with pytest.raises(DomainError):
             predict_variance(model, np.array([0.0, 0.0, 0.5]))
+        with pytest.raises(DomainError):
+            predict_mean(model, np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            predict_variance(model, np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]]))
 
 
 class TestConfidenceBand:
@@ -381,6 +394,12 @@ class TestGreedyMaxVariance:
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigurationError):
             greedy_max_variance(make_kernel("nt", 1), np.empty((0, 3)), 4, 1.0)
+
+    def test_rejects_non_unit_grid(self):
+        for bad in ([0.0, 2.0, 0.0], [0.0, np.nan, 0.0]):
+            grid = np.array([[1.0, 0.0, 0.0], bad])
+            with pytest.raises(DomainError, match="point 1"):
+                greedy_max_variance(make_kernel("nt", 1), grid, 1, 1.0)
 
     def test_trace_serialization(self):
         grid = sample_sphere(3, 20, 1)
