@@ -29,11 +29,9 @@ from .experiments import (
 from .kernels import _check_unit_rows, make_kernel
 from .regression import (
     InfoGainReport,
-    effective_dimension,
+    _infogain_summary,
     greedy_max_variance,
-    information_gain,
     sample_sphere,
-    variance_sum_check,
 )
 from .serialize import csv_document, json_document
 from .spectral import (
@@ -335,11 +333,11 @@ def cmd_infogain(cfg):
     kernel = make_kernel(cfg["family"], cfg["s"], d=cfg["d"])
     points = sample_sphere(cfg["d"], cfg["n"], cfg["seed"])
     lam = cfg["lam"]
-    lhs, rhs = variance_sum_check(kernel, points, lam)
+    info, eff, lhs, rhs = _infogain_summary(kernel, points, lam)
     report = InfoGainReport(
         n=cfg["n"],
-        info_gain=information_gain(kernel, points, lam),
-        effective_dim=effective_dimension(kernel, points, lam),
+        info_gain=info,
+        effective_dim=eff,
         lam=lam,
         sum_variance=lhs,
         bound_rhs=rhs,

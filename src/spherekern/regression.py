@@ -9,9 +9,12 @@ beta(delta) = B + (R/lam) sqrt(2 log(1/delta)), and greedy max-variance
 data collection over a candidate grid.
 
 All log-determinants come from Cholesky factors (sum of log-diagonals,
-doubled), never from raw determinants.  Greedy selection updates the
-factor one row at a time, so an n-step run over an m-point grid costs
-O(n^2 m) instead of refitting from scratch each step.
+doubled), never from raw determinants; information gain, effective
+dimension and the variance-sum bound of one point set share a single
+factor.  Greedy selection updates the factor one row at a time and
+evaluates the kernel only on the rows of the points it selects, so an
+n-step run over an m-point grid costs n*m kernel evaluations, O(n^2 m)
+arithmetic and O(n m) memory; it never forms the m x m grid Gram.
 """
 
 from dataclasses import dataclass
@@ -22,6 +25,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import (
     ConfigurationError,
+    DomainError,
     IllConditionedGramError,
     ParameterError,
 )
@@ -46,13 +50,17 @@ class SphericalDataset:
     noise_scale: float = 0.0
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        Y = np.asarray(self.Y, dtype=float).ravel()
+        # copies, so that freezing them leaves the caller's arrays writable
+        X = np.array(self.X, dtype=float, ndmin=2)
+        Y = np.array(self.Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ParameterError(
                 f"got {X.shape[0]} inputs but {Y.shape[0]} values"
             )
         _check_unit_rows(X, "input")
+        bad = np.flatnonzero(~np.isfinite(Y))
+        if bad.size:
+            raise DomainError(f"value {bad[0]} is not finite: {Y[bad[0]]}")
         if self.noise_scale < 0:
             raise ParameterError("noise_scale must be nonnegative")
         X.setflags(write=False)
@@ -148,8 +156,10 @@ def _chol_with_jitter(A):
     n = A.shape[0]
     scale = float(np.trace(A)) / max(n, 1)
     for level in JITTER_LADDER:
+        # the first rung factors A itself; A + 0*I would only copy it
+        shifted = A if level == 0.0 else A + (level * scale) * np.eye(n)
         try:
-            L = cholesky(A + (level * scale) * np.eye(n), lower=True)
+            L = cholesky(shifted, lower=True)
             return L, level * scale
         except np.linalg.LinAlgError:
             continue
@@ -215,27 +225,39 @@ def confidence_band(model, x, params):
     return params.beta(model.lam) * np.sqrt(var)
 
 
-def information_gain(kernel, points, lam):
-    """Mutual information I = 1/2 log det(I + K/lam^2) for points on the sphere."""
+def _infogain_summary(kernel, points, lam):
+    """``(info_gain, effective_dim, sum_variance, bound_rhs)`` of one point set.
+
+    One Gram and one Cholesky factor L of K + lam^2 I give all four:
+    log det from diag(L), Tr((K + lam^2 I)^{-1}) = ||L^{-1}||_F^2 from one
+    triangular solve, and the sequential variances sigma_{i-1}^2(x_i) =
+    L_ii^2 - lam^2 (see :func:`variance_sum_check`).
+    """
     if lam <= 0:
         raise ParameterError(f"lam must be positive, got {lam}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    K = gram(kernel, points)
-    L, _ = _chol_with_jitter(K + lam * lam * np.eye(n))
-    return max(float(np.sum(np.log(np.diag(L))) - n * log(lam)), 0.0)
+    lam2 = lam * lam
+    A = gram(kernel, points)
+    A.flat[:: n + 1] += lam2
+    L, _ = _chol_with_jitter(A)
+    diag = np.diag(L)
+    half_logdet = float(np.sum(np.log(diag)) - n * log(lam))
+    L_inv = solve_triangular(L, np.eye(n), lower=True)
+    effective_dim = float(n - lam2 * np.sum(L_inv * L_inv))
+    sum_variance = float(np.sum(diag * diag) - n * lam2)
+    bound_rhs = (2.0 / log(1.0 + 1.0 / lam2)) * (2.0 * half_logdet)
+    return max(half_logdet, 0.0), effective_dim, sum_variance, bound_rhs
+
+
+def information_gain(kernel, points, lam):
+    """Mutual information I = 1/2 log det(I + K/lam^2) for points on the sphere."""
+    return _infogain_summary(kernel, points, lam)[0]
 
 
 def effective_dimension(kernel, points, lam):
     """Effective dimension Tr(K (K + lam^2 I)^{-1}) = sum_j mu_j/(mu_j + lam^2)."""
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    K = gram(kernel, points)
-    L, _ = _chol_with_jitter(K + lam * lam * np.eye(n))
-    inv = cho_solve((L, True), np.eye(n))
-    return float(n - lam * lam * np.trace(inv))
+    return _infogain_summary(kernel, points, lam)[1]
 
 
 @dataclass(frozen=True)
@@ -333,12 +355,12 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
         raise ConfigurationError("candidate grid is empty")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    _check_unit_rows(grid)
 
     m = grid.shape[0]
     kappa_one = kernel.kappa_one
     lam2 = lam * lam
     log_lam = log(lam)
-    K_grid = gram(kernel, grid)
 
     V = np.empty((n, m))
     L = np.zeros((n, n))
@@ -364,7 +386,8 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
         ell = sqrt(schur)
         L[i, :i] = v
         L[i, i] = ell
-        V[i] = (K_grid[j] - v @ V[:i]) / ell
+        k_row = kernel(np.clip(grid @ grid[j], -1.0, 1.0))
+        V[i] = (k_row - v @ V[:i]) / ell
         sigma2 -= V[i] * V[i]
         np.clip(sigma2, 0.0, None, out=sigma2)
 
@@ -400,15 +423,4 @@ def variance_sum_check(kernel, points, lam):
     K + lam^2 I) turns both into one factorization.  lhs <= rhs holds for
     every sequence; both values are returned for reporting.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    K = gram(kernel, points)
-    lam2 = lam * lam
-    L, _ = _chol_with_jitter(K + lam2 * np.eye(n))
-    diag = np.diag(L)
-    lhs = float(np.sum(diag * diag) - n * lam2)
-    logdet = 2.0 * float(np.sum(np.log(diag)) - n * log(lam))
-    rhs = (2.0 / log(1.0 + 1.0 / lam2)) * logdet
-    return lhs, rhs
+    return _infogain_summary(kernel, points, lam)[2:]

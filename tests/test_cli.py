@@ -3,8 +3,17 @@ import subprocess
 import sys
 
 import pytest
+from numpy.testing import assert_allclose
 
-from spherekern.cli import build_parser, resolve_config
+from spherekern import (
+    effective_dimension,
+    information_gain,
+    make_kernel,
+    regression,
+    sample_sphere,
+    variance_sum_check,
+)
+from spherekern.cli import build_parser, main, resolve_config
 from spherekern.errors import ConfigurationError
 
 
@@ -246,6 +255,37 @@ class TestReports:
         assert doc["meta"]["version"]
         assert doc["config"]["subcommand"] == "infogain"
         assert doc["config"]["n"] == 8
+
+    def test_infogain_factors_once(self, monkeypatch, tmp_path):
+        real = regression.cholesky
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "cholesky", counting)
+        assert main(["infogain", "--family", "nt", "--s", "2", "--n", "40",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert len(calls) == 1
+
+    def test_infogain_payload_matches_public_functions(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["infogain", "--family", "nt", "--s", "2", "--d", "4",
+                     "--n", "40", "--lam", "0.5", "--seed", "5",
+                     "--out", str(out)]) == 0
+        payload = payload_of(out.read_text())
+        kernel = make_kernel("nt", 2, d=4)
+        points = sample_sphere(4, 40, 5)
+        lhs, rhs = variance_sum_check(kernel, points, 0.5)
+        expected = {
+            "info_gain": information_gain(kernel, points, 0.5),
+            "effective_dim": effective_dimension(kernel, points, 0.5),
+            "sum_variance": lhs,
+            "bound_rhs": rhs,
+        }
+        for key, value in expected.items():
+            assert_allclose(payload[key], value, rtol=1e-12, err_msg=key)
 
     def test_out_writes_file_and_keeps_stdout_quiet(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,6 +41,19 @@ class TestSphericalDataset:
             SphericalDataset(np.array([[1.0, 0, 0], [0, 0.5, 0]]), [1.0, 2.0])
         with pytest.raises(DomainError, match="input 1"):
             SphericalDataset(np.array([[1.0, 0, 0], [0, np.nan, 0]]), [1.0, 2.0])
+
+    def test_rejects_non_finite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="value 1"):
+                SphericalDataset(np.eye(3), [1.0, bad, 0.0])
+
+    def test_caller_arrays_stay_writable(self):
+        X, Y = np.eye(3), np.array([1.0, 2.0, 3.0])
+        ds = SphericalDataset(X, Y)
+        assert X.flags.writeable and Y.flags.writeable
+        assert not ds.X.flags.writeable and not ds.Y.flags.writeable
+        X[0, 0] = 0.0
+        assert ds.X[0, 0] == 1.0
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ParameterError):
@@ -394,6 +409,18 @@ class TestGreedyMaxVariance:
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigurationError):
             greedy_max_variance(make_kernel("nt", 1), np.empty((0, 3)), 4, 1.0)
+
+    def test_never_allocates_grid_gram(self):
+        """Kernel rows come on demand: the peak stays far below one m x m array."""
+        m = 4096
+        grid = sample_sphere(3, m, 5)
+        tracemalloc.start()
+        try:
+            greedy_max_variance(make_kernel("nt", 1), grid, 4, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m / 16
 
     def test_rejects_non_unit_grid(self):
         for bad in ([0.0, 2.0, 0.0], [0.0, np.nan, 0.0]):
