@@ -12,6 +12,14 @@ points, sample anchor values from the kernel's Gaussian prior, define
 g = k^T (K + ridge I)^{-1} Y_hat, and normalize by the range of g over a
 large uniform sample.  The resulting f has certified finite RKHS norm.
 
+An error-rate repetition with nested training sets factors K + lam^2 I
+once, for the largest set: the factor of each smaller (leading) set is the
+leading block of that factor, so a jitter rung the largest set needs
+applies to every prefix.  The evaluation points stream through in row
+tiles of at most one kernel block (``kernels._BLOCK`` entries), each
+scored against every n by one GEMM, so memory stays O(n^2) whatever the
+evaluation sample size.
+
 Every quantity is a pure function of the configuration: repetition r of
 a run with master seed m draws all of its randomness from seed sequences
 ``[m + r, salt]`` with fixed salts per role (anchors, anchor values,
@@ -24,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import block_diag, cho_solve
 
 from .errors import (
     DegenerateFunctionError,
@@ -33,8 +41,8 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .kernels import gram, make_kernel
-from .regression import _chol_with_jitter, greedy_max_variance, sample_sphere
+from .kernels import _BLOCK, gram, make_kernel
+from .regression import _chol_with_jitter, _ridge_factor, greedy_max_variance, sample_sphere
 from .serialize import csv_document, json_document
 from .spectral import _loglog_fit
 
@@ -228,43 +236,54 @@ def _upper_half(n_grid):
 
 def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
                     noise_scale, n0, ridge, nested):
-    """One repetition: returns sup-errors over the n grid."""
+    """One repetition: returns sup-errors over the n grid.
+
+    The fits of every n are stacked into one training matrix ``X`` and one
+    weight matrix whose column j holds the weights of fit j (zero outside
+    its rows).  Nested: ``X`` is one pool of max(n_grid) points whose
+    K + lam^2 I is factored once, and fit j solves with L[:n_j, :n_j].
+    Independent (``nested=False``): each n draws and factors its own set.
+    The evaluation points then stream through in tiles of
+    max(1, _BLOCK // rows of X) rows: one tile x X Gram, one GEMM and a
+    running max |error| per n.
+    """
     kernel = make_kernel(family, s, d=d)
     target = make_synthetic(kernel, d, n0=n0, ridge=ridge, seed=rep_seed)
-    max_n = int(n_grid[-1])
-    eval_pts = sample_sphere(d, eval_sample, [rep_seed, SALT_EVAL])
-    f_eval = target(eval_pts)
-    lam = float(np.sqrt(train_lam2))
 
     if nested:
-        X_pool = sample_sphere(d, max_n, [rep_seed, SALT_TRAIN])
-        noise_pool = (
+        max_n = int(n_grid[-1])
+        X = sample_sphere(d, max_n, [rep_seed, SALT_TRAIN])
+        noise = (
             np.random.default_rng([rep_seed, SALT_NOISE]).standard_normal(max_n)
             * noise_scale
         )
-        K_eval_pool = gram(kernel, eval_pts, X_pool)
-        K_pool = gram(kernel, X_pool)
-
-    errors = np.empty(len(n_grid))
-    for j, n in enumerate(n_grid):
-        n = int(n)
-        if nested:
-            X = X_pool[:n]
-            K = K_pool[:n, :n]
-            K_eval = K_eval_pool[:, :n]
-            noise = noise_pool[:n]
-        else:
+        Y = target(X) + noise
+        L, _ = _ridge_factor(kernel, X, train_lam2)
+        alpha = np.zeros((max_n, len(n_grid)))
+        for j, n in enumerate(n_grid):
+            alpha[:n, j] = cho_solve((L[:n, :n], True), Y[:n])
+    else:
+        sets, weights = [], []
+        for n in n_grid:
+            n = int(n)
             X = sample_sphere(d, n, [rep_seed, SALT_TRAIN, n])
-            K = gram(kernel, X)
-            K_eval = gram(kernel, eval_pts, X)
             noise = (
                 np.random.default_rng([rep_seed, SALT_NOISE, n]).standard_normal(n)
                 * noise_scale
             )
-        Y = target(X) + noise
-        L, _ = _chol_with_jitter(K + train_lam2 * np.eye(n))
-        alpha = cho_solve((L, True), Y)
-        errors[j] = float(np.max(np.abs(K_eval @ alpha - f_eval)))
+            L, _ = _ridge_factor(kernel, X, train_lam2)
+            sets.append(X)
+            weights.append(cho_solve((L, True), target(X) + noise)[:, None])
+        X = np.vstack(sets)
+        alpha = block_diag(*weights)
+
+    eval_pts = sample_sphere(d, eval_sample, [rep_seed, SALT_EVAL])
+    tile = max(1, _BLOCK // X.shape[0])
+    errors = np.zeros(len(n_grid))
+    for lo in range(0, eval_sample, tile):
+        pts = eval_pts[lo:lo + tile]
+        resid = gram(kernel, pts, X) @ alpha - target(pts)[:, None]
+        np.maximum(errors, np.max(np.abs(resid), axis=0), out=errors)
     return errors
 
 

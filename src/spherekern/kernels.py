@@ -11,9 +11,9 @@ Two kernel families are supported for the power-ReLU activations
 Both are functions of the inner product ``u = x . x'`` of unit vectors.
 Closed forms are available for ``s in {0, 1, 2, 3}``; deeper networks
 (``l > 2``) are handled by the layer recursion.  Every public evaluation
-validates ``u`` once, on entry (NaN is rejected).  A seeded Monte-Carlo
-oracle estimates the defining Gaussian expectations directly and is used
-to validate the closed forms.
+validates ``u`` once, on entry (NaN is rejected), then evaluates it in
+cache-sized blocks.  A seeded Monte-Carlo oracle estimates the defining
+Gaussian expectations directly and is used to validate the closed forms.
 """
 
 from dataclasses import dataclass
@@ -32,6 +32,10 @@ from .errors import (
 U_CLAMP_TOL = 1e-12
 
 _SUPPORTED_S = (1, 2, 3)
+
+#: Entries per block of the layer recursion: one block's temporaries (256 KB
+#: each) stay in L2 cache.  Also the size of the error-rate evaluation tiles.
+_BLOCK = 1 << 15
 
 
 def _as_ufloat(u):
@@ -88,20 +92,35 @@ def _kappa_pair(s, u, slope=True):
     return kappa(s), s * s / (2.0 * s - 1.0) * kappa(s - 1) if slope else None
 
 
-def _evaluate(u, s, l=2, nt=False, drop_c2=False):
-    """Validate ``u`` once, then run the depth-``l`` RF or NT layer recursion on it."""
-    if l < 2:
-        raise ConfigurationError(f"depth l must be >= 2, got {l}")
-    arr, scalar = _as_ufloat(u)
-    rf, d_rf = _kappa_pair(s, arr, nt)
-    c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
-    val = arr * d_rf + rf if nt else rf
+def _layers(u, s, l, nt, c2):
+    """The depth-``l`` RF or NT layer recursion on a validated 1-D block of u."""
+    rf, d_rf = _kappa_pair(s, u, nt)
+    val = u * d_rf + rf if nt else rf
     for _ in range(l - 2):
         d_rf = None  # free the last layer's slope before the next evaluation
         # rounding can lift a layer's value past 1, outside arccos's domain
         rf, d_rf = _kappa_pair(s, np.clip(rf, -1.0, 1.0, out=rf), nt)
         val = c2 * val * d_rf + rf if nt else rf
-    return float(val[0]) if scalar else val
+    return val
+
+
+def _evaluate(u, s, l=2, nt=False, drop_c2=False):
+    """Validate ``u`` once, then run the layer recursion on it block by block.
+
+    The recursion is elementwise, so evaluating the flattened ``u`` in blocks
+    of ``_BLOCK`` entries gives the same bits as one pass while each block's
+    temporaries stay in cache.
+    """
+    if l < 2:
+        raise ConfigurationError(f"depth l must be >= 2, got {l}")
+    arr, scalar = _as_ufloat(u)
+    c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
+    flat = arr.ravel()
+    out = np.empty(flat.size)
+    # at least one block, so that an empty u still has s checked
+    for lo in range(0, flat.size or 1, _BLOCK):
+        out[lo:lo + _BLOCK] = _layers(flat[lo:lo + _BLOCK], s, l, nt, c2)
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def double_factorial_odd(s):

@@ -11,10 +11,10 @@ data collection over a candidate grid.
 All log-determinants come from Cholesky factors (sum of log-diagonals,
 doubled), never from raw determinants; information gain, effective
 dimension and the variance-sum bound of one point set share a single
-factor.  Greedy selection updates the factor one row at a time and
-evaluates the kernel only on the rows of the points it selects, so an
-n-step run over an m-point grid costs n*m kernel evaluations, O(n^2 m)
-arithmetic and O(n m) memory; it never forms the m x m grid Gram.
+factor.  Greedy selection grows the inverse of the factor one row at a
+time and evaluates the kernel only on the rows of the points it selects,
+so an n-step run over an m-point grid costs n*m kernel evaluations,
+O(n^2 m) arithmetic and O(n m) memory; it never forms the m x m grid Gram.
 """
 
 from dataclasses import dataclass
@@ -171,6 +171,17 @@ def _chol_with_jitter(A):
     )
 
 
+def _ridge_factor(kernel, points, lam2):
+    """``(L, jitter)``: lower Cholesky factor of gram(points) + lam2 I.
+
+    lam2 goes onto the Gram's own diagonal, so the only n x n arrays made
+    are the Gram and its factor.
+    """
+    A = gram(kernel, points)
+    A.flat[:: A.shape[0] + 1] += lam2
+    return _chol_with_jitter(A)
+
+
 def fit(kernel, dataset, lam):
     """Fit kernel ridge regression with regularization lam (noise std scale).
 
@@ -182,9 +193,7 @@ def fit(kernel, dataset, lam):
         raise ParameterError(f"lam must be positive, got {lam}")
     if len(dataset) == 0:
         raise ConfigurationError("fit requires a non-empty dataset; use FittedRegressor.empty")
-    K = gram(kernel, dataset.X)
-    A = K + lam * lam * np.eye(len(dataset))
-    L, jitter = _chol_with_jitter(A)
+    L, jitter = _ridge_factor(kernel, dataset.X, lam * lam)
     alpha = cho_solve((L, True), dataset.Y)
     return FittedRegressor(kernel, dataset.X, lam, L, alpha, jitter)
 
@@ -225,34 +234,36 @@ def confidence_band(model, x, params):
     return params.beta(model.lam) * np.sqrt(var)
 
 
-def _infogain_summary(kernel, points, lam):
+def _infogain_summary(kernel, points, lam, effective_dim=True):
     """``(info_gain, effective_dim, sum_variance, bound_rhs)`` of one point set.
 
     One Gram and one Cholesky factor L of K + lam^2 I give all four:
     log det from diag(L), Tr((K + lam^2 I)^{-1}) = ||L^{-1}||_F^2 from one
     triangular solve, and the sequential variances sigma_{i-1}^2(x_i) =
-    L_ii^2 - lam^2 (see :func:`variance_sum_check`).
+    L_ii^2 - lam^2 (see :func:`variance_sum_check`).  With
+    ``effective_dim=False`` the n x n triangular solve, which only the
+    effective dimension needs, is skipped and None returned in its place.
     """
     if lam <= 0:
         raise ParameterError(f"lam must be positive, got {lam}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     lam2 = lam * lam
-    A = gram(kernel, points)
-    A.flat[:: n + 1] += lam2
-    L, _ = _chol_with_jitter(A)
+    L, _ = _ridge_factor(kernel, points, lam2)
     diag = np.diag(L)
     half_logdet = float(np.sum(np.log(diag)) - n * log(lam))
-    L_inv = solve_triangular(L, np.eye(n), lower=True)
-    effective_dim = float(n - lam2 * np.sum(L_inv * L_inv))
+    eff = None
+    if effective_dim:
+        L_inv = solve_triangular(L, np.eye(n), lower=True)
+        eff = float(n - lam2 * np.sum(L_inv * L_inv))
     sum_variance = float(np.sum(diag * diag) - n * lam2)
     bound_rhs = (2.0 / log(1.0 + 1.0 / lam2)) * (2.0 * half_logdet)
-    return max(half_logdet, 0.0), effective_dim, sum_variance, bound_rhs
+    return max(half_logdet, 0.0), eff, sum_variance, bound_rhs
 
 
 def information_gain(kernel, points, lam):
     """Mutual information I = 1/2 log det(I + K/lam^2) for points on the sphere."""
-    return _infogain_summary(kernel, points, lam)[0]
+    return _infogain_summary(kernel, points, lam, effective_dim=False)[0]
 
 
 def effective_dimension(kernel, points, lam):
@@ -363,7 +374,7 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     log_lam = log(lam)
 
     V = np.empty((n, m))
-    L = np.zeros((n, n))
+    L_inv = np.zeros((n, n))  # rows of the inverse of the growing factor
     sigma2 = np.full(m, kappa_one)
     sel = np.empty(n, dtype=np.int64)
     sel_var = np.empty(n)
@@ -384,19 +395,17 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
                 f"greedy step {i}: nonpositive Schur complement {schur:.3e}"
             )
         ell = sqrt(schur)
-        L[i, :i] = v
-        L[i, i] = ell
+        # appending row (v, ell) to L appends (-u / ell, 1 / ell) to L^{-1}
+        u = v @ L_inv[:i, :i]
+        L_inv[i, :i] = -u / ell
+        L_inv[i, i] = 1.0 / ell
         k_row = kernel(np.clip(grid @ grid[j], -1.0, 1.0))
         V[i] = (k_row - v @ V[:i]) / ell
         sigma2 -= V[i] * V[i]
         np.clip(sigma2, 0.0, None, out=sigma2)
 
         sum_log_diag += log(ell)
-        if i == 0:
-            tr_inv = 1.0 / schur
-        else:
-            u = solve_triangular(L[:i, :i], v, lower=True, trans="T")
-            tr_inv += (float(u @ u) + 1.0) / schur
+        tr_inv += (float(u @ u) + 1.0) / schur
         info[i] = sum_log_diag - (i + 1) * log_lam
         eff[i] = (i + 1) - lam2 * tr_inv
 
@@ -423,4 +432,4 @@ def variance_sum_check(kernel, points, lam):
     K + lam^2 I) turns both into one factorization.  lhs <= rhs holds for
     every sequence; both values are returned for reporting.
     """
-    return _infogain_summary(kernel, points, lam)[2:]
+    return _infogain_summary(kernel, points, lam, effective_dim=False)[2:]

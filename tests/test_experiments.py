@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from spherekern import (
     ExperimentError,
     ParameterError,
     error_rate_experiment,
+    gram,
     fit_loglog_slope,
     make_kernel,
     make_synthetic,
@@ -17,6 +20,7 @@ from spherekern import (
     theoretical_mig_exponent,
 )
 from spherekern import experiments as exp_mod
+from spherekern import regression
 
 
 class TestTheoreticalExponents:
@@ -219,6 +223,66 @@ class TestErrorRateExperiment:
             error_rate_experiment("nt", 1, 3, n_grid=[4, 4, 8], repetitions=1)
         with pytest.raises(ParameterError):
             error_rate_experiment("nt", 1, 3, n_grid=[2, 4], repetitions=0)
+
+
+class TestErrorRateRepetition:
+    """One repetition of ``_error_rate_rep``: factorizations, memory, values."""
+
+    @staticmethod
+    def _rep(n_grid, nested, rep_seed=4, eval_sample=700, n0=100):
+        return exp_mod._error_rate_rep(
+            "nt", 2, 3, np.asarray(n_grid), rep_seed, eval_sample, 0.04, 0.2,
+            n0, 0.01, nested,
+        )
+
+    def test_nested_repetition_factors_once(self, monkeypatch):
+        """Two factorizations in make_synthetic, one for the whole pool."""
+        real = regression.cholesky
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(regression, "cholesky", counting)
+        self._rep(SMALL_GRID, nested=True)
+        assert sizes == [100, 100, SMALL_GRID[-1]]
+
+    def test_eval_gram_is_streamed(self):
+        """The peak stays far below one eval_sample x max_n array."""
+        eval_sample, grid = 20_000, 2 ** np.arange(1, 9)
+        tracemalloc.start()
+        try:
+            # n0 = 20 keeps make_synthetic's 10_000 x n0 range probe small
+            self._rep(grid, nested=True, eval_sample=eval_sample, n0=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < eval_sample * grid[-1] * 8 / 4
+
+    @pytest.mark.parametrize("nested", [True, False])
+    def test_matches_direct_refit_per_n(self, nested):
+        grid, rep_seed, eval_sample = 2 ** np.arange(1, 8), 4, 700
+        got = self._rep(grid, nested, rep_seed, eval_sample)
+
+        kernel = make_kernel("nt", 2, d=3)
+        target = make_synthetic(kernel, 3, n0=100, ridge=0.01, seed=rep_seed)
+        eval_pts = sample_sphere(3, eval_sample, [rep_seed, exp_mod.SALT_EVAL])
+        f_eval = target(eval_pts)
+        pool = sample_sphere(3, grid[-1], [rep_seed, exp_mod.SALT_TRAIN])
+        pool_noise = np.random.default_rng([rep_seed, exp_mod.SALT_NOISE]).standard_normal(
+            grid[-1]) * 0.2
+        want = []
+        for n in grid:
+            if nested:
+                X, noise = pool[:n], pool_noise[:n]
+            else:
+                X = sample_sphere(3, n, [rep_seed, exp_mod.SALT_TRAIN, n])
+                noise = np.random.default_rng(
+                    [rep_seed, exp_mod.SALT_NOISE, n]).standard_normal(n) * 0.2
+            alpha = np.linalg.solve(gram(kernel, X) + 0.04 * np.eye(n), target(X) + noise)
+            want.append(np.max(np.abs(gram(kernel, eval_pts, X) @ alpha - f_eval)))
+        assert_allclose(got, want, rtol=1e-9)
 
 
 class TestMigGrowthExperiment:

@@ -18,6 +18,8 @@ from spherekern import (
     rf_deep,
     rf_derivative,
 )
+from spherekern import kernels
+from spherekern.kernels import _BLOCK
 
 
 class TestClosedForms:
@@ -237,6 +239,55 @@ class TestDomainValidation:
     def test_unsupported_power(self):
         with pytest.raises(UnsupportedSmoothnessError):
             rf_closed(4, 0.5)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+class TestBlockedEvaluation:
+    """Evaluation in blocks of _BLOCK entries gives the bits of one block."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(3)
+        flat = [rng.uniform(-1.0, 1.0, size)
+                for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)]
+        square = rng.uniform(-1.0, 1.0, (3, _BLOCK // 2 + 5))
+        square[0, :3] = (-1.0, 1.0, 1.0 + 1e-13)
+        return flat + [square, square.T]
+
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_bitwise_equal_to_one_block(self, monkeypatch, family, s, l):
+        kernel = make_kernel(family, s, l)
+        inputs = self._inputs()
+        blocked = [kernel(u) for u in inputs]
+        monkeypatch.setattr(kernels, "_BLOCK", 1 << 40)
+        for u, got in zip(inputs, blocked):
+            assert _bits(got) == _bits(kernel(u))
+
+    def test_scalar_and_empty_inputs(self, monkeypatch):
+        kernel = make_kernel("nt", 2, 3)
+        value = kernel(0.3)
+        empty, empty_rows = kernel(np.array([])), kernel(np.empty((0, 3)))
+        monkeypatch.setattr(kernels, "_BLOCK", 1 << 40)
+        assert type(value) is float and value == kernel(0.3)
+        assert empty.shape == (0,) and empty_rows.shape == (0, 3)
+        with pytest.raises(UnsupportedSmoothnessError):
+            rf_closed(4, np.array([]))
+
+    def test_nan_in_last_block_raises_and_input_stays(self):
+        u = np.linspace(-1.0, 1.0, 2 * _BLOCK + 3)
+        u[0] = 1.0 + 1e-13
+        before = u.copy()
+        make_kernel("nt", 3, 3)(u)
+        assert _bits(u) == _bits(before)
+        u[-1] = np.nan
+        with pytest.raises(DomainError, match="NaN"):
+            make_kernel("rf", 1)(u)
 
 
 class TestMonteCarlo:

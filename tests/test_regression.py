@@ -23,6 +23,7 @@ from spherekern import (
     sample_sphere,
     variance_sum_check,
 )
+from spherekern import regression
 from spherekern.regression import _chol_with_jitter
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -304,6 +305,23 @@ class TestInformationGain:
         assert_allclose(information_gain(k, X, lam), I_spec, rtol=1e-8)
         assert_allclose(effective_dimension(k, X, lam), d_spec, rtol=1e-8)
 
+    def test_only_effective_dimension_forms_the_inverse_factor(self, monkeypatch):
+        """The n x n triangular solve runs for the effective dimension alone."""
+        real = regression.solve_triangular
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "solve_triangular", counting)
+        k, X = make_kernel("nt", 2), sample_sphere(3, 20, 4)
+        information_gain(k, X, 0.5)
+        variance_sum_check(k, X, 0.5)
+        assert not calls
+        effective_dimension(k, X, 0.5)
+        assert len(calls) == 1
+
     def test_effective_dim_at_most_n(self):
         k = make_kernel("rf", 1)
         for n in (3, 8, 20):
@@ -364,6 +382,20 @@ class TestGreedyMaxVariance:
             d_direct = effective_dimension(k, pts[: i + 1], 1.0)
             assert_allclose(trace.info_gain[i], I_direct, rtol=1e-6, atol=1e-9)
             assert_allclose(trace.effective_dim[i], d_direct, rtol=1e-6, atol=1e-9)
+
+    def test_trace_update_needs_no_triangular_solve(self, monkeypatch):
+        """The trace of (K + lam^2 I)^{-1} grows from rows of the inverse factor."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("greedy step called solve_triangular")
+
+        grid = sample_sphere(3, 200, 8)
+        k = make_kernel("nt", 2)
+        with monkeypatch.context() as m:
+            m.setattr(regression, "solve_triangular", forbidden)
+            trace = greedy_max_variance(k, grid, 40, 0.5)
+        direct = [effective_dimension(k, trace.selected_points[:n], 0.5)
+                  for n in range(1, 41)]
+        assert_allclose(trace.effective_dim, direct, rtol=1e-12)
 
     def test_chain_rule_identity(self):
         """I(n) equals the sum of sequential half-log variance increments."""
