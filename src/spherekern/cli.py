@@ -8,12 +8,19 @@ JSON reports.  Tabular payloads are written as RFC-4180 CSV with
 ``--emit-plot-data PATH`` writes that CSV alongside whichever format
 goes to ``--out``/stdout.
 
+A config-file value must have the type of its flag: a JSON integer for
+an integer flag, any JSON number for a float flag, a string for a string
+flag, ``true``/``false`` for a switch and a list of numbers for ``u``;
+``null`` is accepted only where the default is null.  A value of another
+type is a configuration error.
+
 Exit codes: 0 success, 2 configuration error (bad parameters, domains,
 unsupported values), 3 numerical failure (factorization, spectral
 accuracy, fit, or experiment errors).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,14 +52,21 @@ from .spectral import (
 
 _REQUIRED = object()
 
-# Per-subcommand parameter schemas: (name, type, default, help).
-# A _REQUIRED default means the parameter must come from a flag or config file.
+# Parameter schemas: (name, type, default, help).  A _REQUIRED default means
+# the parameter must come from a flag or config file; type list is a
+# repeatable float flag.  Every subcommand takes its own rows plus _COMMON.
+_COMMON = [
+    ("seed", int, 0, "master seed"),
+    ("format", str, "json", "output format: csv or json"),
+    ("workers", int, None, "worker processes (results are worker-count independent)"),
+    ("full_scale", bool, False, "use the paper-scale configuration"),
+]
 _SCHEMAS = {
     "kernel-eval": [
         ("family", str, _REQUIRED, "kernel family: nt or rf"),
         ("s", int, _REQUIRED, "activation power (1, 2 or 3)"),
         ("l", int, 2, "network depth (>= 2)"),
-        ("u", None, None, "inner product(s) to evaluate (repeatable flag)"),
+        ("u", list, None, "inner product(s) to evaluate (repeatable flag)"),
         ("pair_file", str, None, "file of point pairs, one 2d-vector row per pair"),
     ],
     "spectrum": [
@@ -128,7 +142,9 @@ _FULL_SCALE = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="spherekern",
         description="Neural-kernel spectra, regression and experiments on the sphere.",
@@ -136,38 +152,28 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, schema in _SCHEMAS.items():
         sp = sub.add_parser(name, help=f"{name} subcommand")
-        for pname, ptype, default, phelp in schema:
+        for pname, ptype, _, phelp in schema + _COMMON:
             flag = "--" + pname.replace("_", "-")
-            if pname == "u":
-                sp.add_argument(flag, action="append", type=float, default=None,
-                                help=phelp)
+            if ptype is list:
+                sp.add_argument(flag, action="append", type=float, help=phelp)
             elif ptype is bool:
-                sp.add_argument(flag, action="store_const", const=True,
-                                default=None, help=phelp)
+                sp.add_argument(flag, action="store_const", const=True, help=phelp)
             else:
-                sp.add_argument(flag, type=ptype, default=None, help=phelp)
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON file of parameter values (flags override)")
-        sp.add_argument("--seed", type=int, default=None, help="master seed")
-        sp.add_argument("--out", type=str, default=None,
-                        help="output path (default stdout)")
-        sp.add_argument("--format", type=str, choices=["csv", "json"], default=None,
-                        help="output format (default json)")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker processes (results are worker-count independent)")
-        sp.add_argument("--full-scale", action="store_const", const=True,
-                        default=None, help="use the paper-scale configuration")
-        sp.add_argument("--emit-plot-data", type=str, default=None,
+                sp.add_argument(flag, type=ptype, help=phelp)
+        sp.add_argument("--config", help="JSON file of parameter values (flags override)")
+        sp.add_argument("--out", help="output path (default stdout)")
+        sp.add_argument("--emit-plot-data",
                         help="also write the tidy CSV payload to this path")
     return parser
 
 
-_COMMON_DEFAULTS = {
-    "seed": 0,
-    "format": "json",
-    "workers": None,
-    "full_scale": False,
-}
+def _has_type(value, ptype):
+    """Whether a config-file value has the type its flag parses to."""
+    if ptype is list:
+        return isinstance(value, list) and all(_has_type(v, float) for v in value)
+    if isinstance(value, bool):
+        return ptype is bool
+    return isinstance(value, (int, float) if ptype is float else ptype)
 
 
 def resolve_config(command, args):
@@ -195,9 +201,8 @@ def resolve_config(command, args):
         file_cfg.pop("out", None)
         file_cfg.pop("emit_plot_data", None)
 
-    schema = _SCHEMAS[command]
-    known = {pname for pname, *_ in schema} | set(_COMMON_DEFAULTS)
-    unknown = set(file_cfg) - known
+    schema = _SCHEMAS[command] + _COMMON
+    unknown = set(file_cfg) - {pname for pname, *_ in schema}
     if unknown:
         raise ConfigurationError(
             f"unknown config keys for {command}: {sorted(unknown)}"
@@ -205,13 +210,18 @@ def resolve_config(command, args):
 
     resolved = {"subcommand": command}
     explicit = set()
-    for pname, _, default, _ in schema:
+    for pname, ptype, default, _ in schema:
         flag_val = getattr(args, pname)
         if flag_val is not None:
             resolved[pname] = flag_val
             explicit.add(pname)
         elif pname in file_cfg:
-            resolved[pname] = file_cfg[pname]
+            value = file_cfg[pname]
+            if not (value is None and default is None or _has_type(value, ptype)):
+                raise ConfigurationError(
+                    f"config value {pname}={value!r} is not of type {ptype.__name__}"
+                )
+            resolved[pname] = value
             explicit.add(pname)
         elif default is _REQUIRED:
             raise ConfigurationError(
@@ -220,16 +230,6 @@ def resolve_config(command, args):
             )
         else:
             resolved[pname] = default
-    for cname, default in _COMMON_DEFAULTS.items():
-        flag_val = getattr(args, cname)
-        if flag_val is not None:
-            resolved[cname] = flag_val
-            explicit.add(cname)
-        elif cname in file_cfg:
-            resolved[cname] = file_cfg[cname]
-            explicit.add(cname)
-        else:
-            resolved[cname] = default
     if resolved["format"] not in ("csv", "json"):
         raise ConfigurationError(
             f"format must be csv or json, got {resolved['format']!r}"

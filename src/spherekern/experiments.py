@@ -43,7 +43,7 @@ from .errors import (
 )
 from .kernels import _BLOCK, gram, make_kernel
 from .regression import _chol_with_jitter, _ridge_factor, greedy_max_variance, sample_sphere
-from .serialize import csv_document, json_document
+from .serialize import JsonReport, csv_document
 from .spectral import _loglog_fit
 
 # Seed-sequence salts: one substream per random role, so protocol changes
@@ -168,7 +168,7 @@ def make_synthetic(kernel, d, n0=100, ridge=0.01, seed=0, range_sample=10_000,
 
 
 @dataclass(frozen=True)
-class ErrorRateReport:
+class ErrorRateReport(JsonReport):
     """Sup-error decay of KRR against synthetic ground truths.
 
     ``sup_errors[r, j]`` is repetition ``rep_indices[r]`` evaluated at
@@ -206,24 +206,6 @@ class ErrorRateReport:
             [int(n), mean[j], std[j]] for j, n in enumerate(self.n_grid)
         ]
         return csv_document(["n", "mean_sup_error", "std_sup_error"], rows)
-
-    def to_json(self, config=None, timestamp=None):
-        payload = {
-            "family": self.family,
-            "s": self.s,
-            "d": self.d,
-            "n_grid": self.n_grid.tolist(),
-            "rep_indices": self.rep_indices.tolist(),
-            "sup_errors": self.sup_errors.tolist(),
-            "rep_exponents": self.rep_exponents.tolist(),
-            "mean_exponent": self.mean_exponent,
-            "exponent_std": self.exponent_std,
-            "theoretical_exponent": self.theoretical_exponent,
-            "train_lam2": self.train_lam2,
-            "noise_scale": self.noise_scale,
-            "failures": list(self.failures),
-        }
-        return json_document(payload, config=config, timestamp=timestamp)
 
 
 def _upper_half(n_grid):
@@ -316,6 +298,7 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
     n_grid = np.asarray(n_grid, dtype=np.int64)
     if np.any(np.diff(n_grid) <= 0):
         raise ParameterError("n_grid must be strictly increasing")
+    half = _upper_half(n_grid)
     if repetitions < 1:
         raise ParameterError("repetitions must be >= 1")
 
@@ -339,7 +322,6 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
 
     rep_indices = np.array([r for r, _ in kept], dtype=np.int64)
     sup_errors = np.vstack([res for _, res in kept])
-    half = _upper_half(n_grid)
     rep_exponents = np.array([
         fit_loglog_slope(n_grid[half], row[half])[0] for row in sup_errors
     ])
@@ -356,7 +338,7 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
 
 
 @dataclass(frozen=True)
-class MigGrowthReport:
+class MigGrowthReport(JsonReport):
     """Greedy information-gain growth over n, with the theoretical exponent.
 
     The greedy trace is a lower-bound surrogate for the maximal
@@ -380,20 +362,6 @@ class MigGrowthReport:
         ]
         return csv_document(["n", "info_gain"], rows)
 
-    def to_json(self, config=None, timestamp=None):
-        payload = {
-            "family": self.family,
-            "s": self.s,
-            "d": self.d,
-            "lam": self.lam,
-            "n_grid": self.n_grid.tolist(),
-            "info_gain": self.info_gain.tolist(),
-            "effective_dim": self.effective_dim.tolist(),
-            "fitted_exponent": self.fitted_exponent,
-            "theoretical_exponent": self.theoretical_exponent,
-        }
-        return json_document(payload, config=config, timestamp=timestamp)
-
 
 def mig_growth_experiment(family, s, d, n_grid=None, lam=1.0,
                           candidate_grid_size=4096, seed=0):
@@ -408,6 +376,7 @@ def mig_growth_experiment(family, s, d, n_grid=None, lam=1.0,
     n_grid = np.asarray(n_grid, dtype=np.int64)
     if np.any(np.diff(n_grid) <= 0):
         raise ParameterError("n_grid must be strictly increasing")
+    half = _upper_half(n_grid)
     max_n = int(n_grid[-1])
     if max_n > candidate_grid_size:
         raise ParameterError(
@@ -418,7 +387,6 @@ def mig_growth_experiment(family, s, d, n_grid=None, lam=1.0,
     trace = greedy_max_variance(kernel, grid, max_n, lam)
     info = trace.info_gain[n_grid - 1]
     eff = trace.effective_dim[n_grid - 1]
-    half = _upper_half(n_grid)
     slope, _, _ = fit_loglog_slope(n_grid[half], info[half])
     return MigGrowthReport(
         family=family, s=s, d=d, lam=lam, n_grid=n_grid,

@@ -46,9 +46,10 @@ def _as_ufloat(u):
     1 + U_CLAMP_TOL].  Only clamping copies, so never write into the array.
     """
     arr = np.asarray(u, dtype=float)
-    excess = np.max(np.abs(arr), initial=0.0) - 1.0
-    if np.isnan(excess):
+    hi, lo = arr.max(initial=-1.0), arr.min(initial=1.0)  # both NaN if one entry is
+    if np.isnan(hi):
         raise DomainError("inner product is NaN")
+    excess = max(hi - 1.0, -1.0 - lo)
     if excess > U_CLAMP_TOL:
         raise DomainError(
             f"inner product outside [-1, 1] by {excess:.3e} (tolerance {U_CLAMP_TOL:.0e})"

@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
 )
 from .kernels import _check_unit_rows, gram
-from .serialize import csv_document, json_document
+from .serialize import JsonReport, csv_document
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -272,7 +272,7 @@ def effective_dimension(kernel, points, lam):
 
 
 @dataclass(frozen=True)
-class InfoGainReport:
+class InfoGainReport(JsonReport):
     """Information gain and effective dimension of one point set.
 
     ``sum_variance`` and ``bound_rhs`` are the two sides of
@@ -292,20 +292,9 @@ class InfoGainReport:
         row = [self.n, self.info_gain, self.effective_dim, self.sum_variance, self.bound_rhs]
         return csv_document(header, [row])
 
-    def to_json(self, config=None, timestamp=None):
-        payload = {
-            "n": self.n,
-            "info_gain": self.info_gain,
-            "effective_dim": self.effective_dim,
-            "lam": self.lam,
-            "sum_variance": self.sum_variance,
-            "bound_rhs": self.bound_rhs,
-        }
-        return json_document(payload, config=config, timestamp=timestamp)
-
 
 @dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(JsonReport):
     """Per-step record of a greedy max-variance run.
 
     Arrays are indexed by step; entry i describes the model after i+1
@@ -323,6 +312,9 @@ class GreedyTrace:
     sum_variance: np.ndarray
     bound_rhs: np.ndarray
 
+    _json_extra = ("n",)
+    _json_omit = ("selected_points",)
+
     @property
     def n(self):
         return self.selected_indices.size
@@ -335,19 +327,6 @@ class GreedyTrace:
             for i in range(self.n)
         ]
         return csv_document(header, rows)
-
-    def to_json(self, config=None, timestamp=None):
-        payload = {
-            "lam": self.lam,
-            "n": self.n,
-            "selected_indices": self.selected_indices.tolist(),
-            "selected_variance": self.selected_variance.tolist(),
-            "info_gain": self.info_gain.tolist(),
-            "effective_dim": self.effective_dim.tolist(),
-            "sum_variance": self.sum_variance.tolist(),
-            "bound_rhs": self.bound_rhs.tolist(),
-        }
-        return json_document(payload, config=config, timestamp=timestamp)
 
 
 def greedy_max_variance(kernel, candidate_grid, n, lam):

@@ -10,6 +10,7 @@ timestamps are isolated in ``meta`` so determinism checks can mask them.
 import csv
 import io
 import json
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,21 +41,11 @@ def csv_document(header, rows):
     return buf.getvalue()
 
 
-def round17(obj):
-    """Recursively snap floats to their 17-significant-digit representation."""
-    if isinstance(obj, dict):
-        return {k: round17(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round17(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(format_float(obj))
-    if isinstance(obj, np.ndarray):
-        return round17(obj.tolist())
-    return obj
+def _plain(obj):
+    """``json.dumps`` fallback: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def utc_timestamp():
@@ -65,7 +56,8 @@ def json_document(payload, config=None, timestamp=None):
     """Assemble the standard report document as a JSON string.
 
     Layout: ``{"meta": {"timestamp", "version"}, "config": ..., "payload": ...}``
-    with sorted keys and floats snapped to 17 significant digits.
+    with sorted keys.  Floats are written by ``repr``, the shortest text
+    that parses back to the same double.
     """
     from . import __version__
 
@@ -74,7 +66,23 @@ def json_document(payload, config=None, timestamp=None):
             "timestamp": timestamp if timestamp is not None else utc_timestamp(),
             "version": __version__,
         },
-        "config": round17(config if config is not None else {}),
-        "payload": round17(payload),
+        "config": config if config is not None else {},
+        "payload": payload,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"
+
+
+class JsonReport:
+    """Base of the report dataclasses: ``to_json`` writes every field.
+
+    A subclass names properties to add to the payload in ``_json_extra``
+    and fields to leave out of it in ``_json_omit``.
+    """
+
+    _json_extra = ()
+    _json_omit = ()
+
+    def to_json(self, config=None, timestamp=None):
+        names = [f.name for f in fields(self) if f.name not in self._json_omit]
+        payload = {name: getattr(self, name) for name in names + list(self._json_extra)}
+        return json_document(payload, config=config, timestamp=timestamp)

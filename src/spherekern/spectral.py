@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedSmoothnessError,
 )
 from .kernels import DotProductKernel, make_kernel, rf_closed
-from .serialize import csv_document, json_document
+from .serialize import JsonReport, csv_document
 
 #: Degrees with eigenvalue below this are treated as numerically zero
 #: (suppressed parity) by the fitting routines.
@@ -192,7 +192,7 @@ class GegenbauerBasis:
 
 
 @dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(JsonReport):
     """Per-degree eigenvalues lam_i of a spherical kernel with multiplicities.
 
     ``eigenvalues[i]`` is the eigenvalue shared by all ``multiplicities[i]``
@@ -205,6 +205,8 @@ class SpectrumTable:
     multiplicities: np.ndarray
     provenance: str
     n_clamped: int = 0
+
+    _json_extra = ("max_degree", "degrees")
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -227,18 +229,6 @@ class SpectrumTable:
     def to_csv(self):
         rows = zip(self.degrees, self.eigenvalues, self.multiplicities)
         return csv_document(["degree", "eigenvalue", "multiplicity"], rows)
-
-    def to_json(self, config=None, timestamp=None):
-        payload = {
-            "d": self.d,
-            "max_degree": self.max_degree,
-            "provenance": self.provenance,
-            "n_clamped": self.n_clamped,
-            "degrees": self.degrees.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "multiplicities": self.multiplicities.tolist(),
-        }
-        return json_document(payload, config=config, timestamp=timestamp)
 
 
 def mercer_spectrum(kernel, d, M, basis=None, provenance=None):

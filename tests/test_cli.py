@@ -15,6 +15,7 @@ from spherekern import (
 )
 from spherekern.cli import build_parser, main, resolve_config
 from spherekern.errors import ConfigurationError
+from test_acceptance import CLI_CASES
 
 
 def run_cli(*args, **kwargs):
@@ -75,6 +76,21 @@ class TestExitCodes:
     def test_error_message_is_single_line(self):
         res = run_cli("kernel-eval", "--family", "rf", "--s", "5", "--u", "0")
         assert res.stderr.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("command, config", [
+        ("spectrum", {"family": "nt", "s": 1, "max_degree": "60"}),
+        ("infogain", {"family": "nt", "s": 1, "n": 10.5}),
+        ("infogain", {"family": "nt", "s": 1, "lam": "1.0"}),
+        ("kernel-eval", {"family": "nt", "s": 1, "u": ["0.5"]}),
+    ])
+    def test_wrong_config_value_type_is_two(self, command, config, tmp_path, capsys):
+        """A config value of another type than its flag is a configuration error."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigurationError: config value ")
+        assert err.count("\n") == 1
 
 
 class TestKernelEval:
@@ -177,6 +193,17 @@ class TestConfigResolution:
                              "--d", "3", "--full-scale", "--reps", "3"])
         assert cfg["reps"] == 3 and cfg["max_exp"] == 13
 
+    def test_file_values_take_their_flag_types(self, tmp_path):
+        """An integer stands for a float; null only where the default is null."""
+        cfg = self._resolve(["infogain"],
+                            {"family": "nt", "s": 1, "lam": 2, "workers": None},
+                            tmp_path=tmp_path)
+        assert cfg["lam"] == 2 and cfg["workers"] is None
+        for bad in ({"seed": None}, {"full_scale": 1}, {"n": True}):
+            with pytest.raises(ConfigurationError, match="is not of type"):
+                self._resolve(["infogain", "--family", "nt", "--s", "1"], bad,
+                              tmp_path=tmp_path)
+
     def test_output_paths_never_echoed(self, tmp_path):
         cfg = self._resolve(["spectrum", "--family", "nt", "--s", "1"],
                             {"out": "x.json"}, tmp_path=tmp_path)
@@ -229,12 +256,13 @@ class TestDeterminism:
 
 
 class TestRoundTrip:
-    def test_embedded_config_reproduces_payload(self, tmp_path):
+    @pytest.mark.parametrize("case", CLI_CASES, ids=lambda case: case[0])
+    def test_embedded_config_reproduces_payload(self, case, tmp_path):
         """Feeding the echoed config back yields the identical payload."""
-        doc = json.loads(run_cli(*SMALL_ERROR_RATE, "--seed", "9").stdout)
+        doc = json.loads(run_cli(*case).stdout)
         cfg_path = tmp_path / "echo.json"
         cfg_path.write_text(json.dumps(doc["config"]))
-        redone = json.loads(run_cli("error-rate", "--config", cfg_path).stdout)
+        redone = json.loads(run_cli(case[0], "--config", cfg_path).stdout)
         assert redone["payload"] == doc["payload"]
         assert redone["config"] == doc["config"]
 

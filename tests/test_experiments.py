@@ -136,6 +136,10 @@ def small_report():
     )
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
 class TestErrorRateExperiment:
     def test_report_shape_and_signs(self, small_report):
         rep = small_report
@@ -223,6 +227,12 @@ class TestErrorRateExperiment:
             error_rate_experiment("nt", 1, 3, n_grid=[4, 4, 8], repetitions=1)
         with pytest.raises(ParameterError):
             error_rate_experiment("nt", 1, 3, n_grid=[2, 4], repetitions=0)
+
+    def test_short_grid_rejected_before_any_repetition(self, monkeypatch):
+        """A grid too short for the slope fit fails before the first repetition."""
+        monkeypatch.setattr(exp_mod, "_error_rate_rep", _must_not_run)
+        with pytest.raises(ParameterError, match=">= 3 entries"):
+            error_rate_experiment("nt", 1, 3, n_grid=[2, 1024], repetitions=1)
 
 
 class TestErrorRateRepetition:
@@ -324,6 +334,12 @@ class TestMigGrowthExperiment:
         lines = rep.to_csv().split("\r\n")
         assert lines[0] == "n,info_gain"
         assert float(lines[1].split(",")[1]) == rep.info_gain[0]
+
+    def test_short_grid_rejected_before_greedy(self, monkeypatch):
+        """A grid too short for the slope fit fails before the greedy run."""
+        monkeypatch.setattr(exp_mod, "greedy_max_variance", _must_not_run)
+        with pytest.raises(ParameterError, match=">= 3 entries"):
+            mig_growth_experiment("nt", 1, 3, n_grid=[2, 2048], candidate_grid_size=4096)
 
     def test_rejects_overlarge_n(self):
         with pytest.raises(ParameterError):

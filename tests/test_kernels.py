@@ -208,7 +208,10 @@ class TestDomainValidation:
             rf_closed(1, 1.001)
         with pytest.raises(DomainError):
             nt_two_layer(2, np.array([0.0, -1.1]))
-        for bad in (np.nan, np.array([0.5, np.nan])):
+        # the minimum is the only out-of-range entry; the maximum is exactly 1
+        below = np.array([[0.5, 1.0], [-1.0 - 1e-9, 0.0]])
+        for bad, match in ((np.nan, "NaN"), (np.array([0.5, np.nan]), "NaN"),
+                           (below, "outside")):
             for evaluate in (
                 lambda u: rf_closed(1, u),
                 lambda u: rf_derivative(2, u),
@@ -217,7 +220,7 @@ class TestDomainValidation:
                 lambda u: nt_deep(2, 3, u),
                 make_kernel("nt", 1),
             ):
-                with pytest.raises(DomainError, match="NaN"):
+                with pytest.raises(DomainError, match=match):
                     evaluate(bad)
 
     def test_input_not_modified(self):

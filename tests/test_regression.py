@@ -472,6 +472,7 @@ class TestGreedyMaxVariance:
 
         doc = json.loads(trace.to_json(timestamp="MASKED"))
         assert doc["payload"]["n"] == 4
+        assert "selected_points" not in doc["payload"]
         assert doc["meta"]["timestamp"] == "MASKED"
 
 

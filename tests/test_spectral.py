@@ -489,4 +489,6 @@ class TestSerialization:
         assert doc["payload"]["d"] == 3
         assert doc["payload"]["provenance"] == "analytic-Matérn"
         assert doc["payload"]["n_clamped"] == 0
+        assert doc["payload"]["max_degree"] == matern_table.max_degree
+        assert doc["payload"]["degrees"] == list(range(matern_table.max_degree + 1))
         assert_allclose(doc["payload"]["eigenvalues"], matern_table.eigenvalues)
