@@ -12,7 +12,10 @@ A config-file value must have the type of its flag: a JSON integer for
 an integer flag, any JSON number for a float flag, a string for a string
 flag, ``true``/``false`` for a switch and a list of numbers for ``u``;
 ``null`` is accepted only where the default is null.  A value of another
-type is a configuration error.
+type is a configuration error.  So is a value out of range, found before
+any work starts: the float parameters lam, lam2, nu, lengthscale and ridge
+must be finite and positive, noise_scale finite and non-negative, and
+degree_min (or its default) no larger than degree_max and max_degree.
 
 Exit codes: 0 success, 2 configuration error (bad parameters, domains,
 unsupported values), 3 numerical failure (factorization, spectral
@@ -22,6 +25,7 @@ accuracy, fit, or experiment errors).
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -135,6 +139,12 @@ _SCHEMAS = {
     ],
 }
 
+# Float parameters that must be finite, and positive or non-negative.
+_SIGNS = {
+    "lam": "positive", "lam2": "positive", "nu": "positive",
+    "lengthscale": "positive", "ridge": "positive", "noise_scale": "non-negative",
+}
+
 # Parameters bumped by --full-scale (the paper-scale configuration) unless
 # explicitly set by flag or config file.
 _FULL_SCALE = {
@@ -230,15 +240,29 @@ def resolve_config(command, args):
             )
         else:
             resolved[pname] = default
-    if resolved["format"] not in ("csv", "json"):
-        raise ConfigurationError(
-            f"format must be csv or json, got {resolved['format']!r}"
-        )
+    _check_values(resolved)
     if resolved["full_scale"]:
         for pname, value in _FULL_SCALE.get(command, {}).items():
             if pname not in explicit:
                 resolved[pname] = value
     return resolved
+
+
+def _check_values(cfg):
+    """Reject out-of-range values before any work is done."""
+    if cfg["format"] not in ("csv", "json"):
+        raise ConfigurationError(f"format must be csv or json, got {cfg['format']!r}")
+    for pname, value in cfg.items():
+        sign = _SIGNS.get(pname)
+        if sign and not (
+            math.isfinite(value) and (value >= 0 if sign == "non-negative" else value > 0)
+        ):
+            raise ConfigurationError(f"{pname} must be finite and {sign}, got {value!r}")
+    if "degree_min" in cfg:
+        lo, hi = _degree_range(cfg)
+        for name, bound in (("degree_max", hi), ("max_degree", cfg["max_degree"])):
+            if lo > bound:
+                raise ConfigurationError(f"degree_min {lo} is above {name} {bound}")
 
 
 def _u_values(cfg):

@@ -41,7 +41,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .kernels import _BLOCK, gram, make_kernel
+from .kernels import _BLOCK, _check_unit_rows, _cross_gram, gram, make_kernel
 from .regression import _chol_with_jitter, _ridge_factor, greedy_max_variance, sample_sphere
 from .serialize import JsonReport, csv_document
 from .spectral import _loglog_fit
@@ -95,7 +95,8 @@ class SyntheticFunction:
     """Random RKHS ground truth f = g / range_normalizer.
 
     ``norm_bound`` is the certified squared RKHS norm of g, which the
-    construction guarantees is at most |Y_hat|^2 / ridge.
+    construction guarantees is at most |Y_hat|^2 / ridge.  The anchors are
+    checked to be unit vectors once, at construction; a call checks its points.
     """
 
     kernel: object
@@ -106,12 +107,18 @@ class SyntheticFunction:
     norm_bound: float
     weights: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "anchors", _check_unit_rows(self.anchors, "anchor"))
+
     def __call__(self, x):
         """Evaluate f at unit vectors x (single point or batch)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        vals = gram(self.kernel, pts, self.anchors) @ self.weights
-        vals = vals / self.range_normalizer
+        vals = self._values(_check_unit_rows(x))
         return float(vals[0]) if np.asarray(x).ndim == 1 else vals
+
+    def _values(self, pts):
+        """f at the rows of ``pts``, a 2-D array already checked to be unit vectors."""
+        vals = _cross_gram(self.kernel, pts, self.anchors) @ self.weights
+        return vals / self.range_normalizer
 
 
 def make_synthetic(kernel, d, n0=100, ridge=0.01, seed=0, range_sample=10_000,
@@ -259,12 +266,14 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
         X = np.vstack(sets)
         alpha = block_diag(*weights)
 
-    eval_pts = sample_sphere(d, eval_sample, [rep_seed, SALT_EVAL])
+    # X passed the unit-norm check in _ridge_factor and the anchors theirs when
+    # the target was built; the evaluation points are checked once, not per tile
+    eval_pts = _check_unit_rows(sample_sphere(d, eval_sample, [rep_seed, SALT_EVAL]))
     tile = max(1, _BLOCK // X.shape[0])
     errors = np.zeros(len(n_grid))
     for lo in range(0, eval_sample, tile):
         pts = eval_pts[lo:lo + tile]
-        resid = gram(kernel, pts, X) @ alpha - target(pts)[:, None]
+        resid = _cross_gram(kernel, pts, X) @ alpha - target._values(pts)[:, None]
         np.maximum(errors, np.max(np.abs(resid), axis=0), out=errors)
     return errors
 

@@ -252,8 +252,13 @@ def gram(kernel, points, points2=None):
     if points2 is None:
         U = X @ X.T
         U = (U + U.T) / 2.0
-    else:
-        U = X @ _check_unit_rows(points2).T
+        return kernel(np.clip(U, -1.0, 1.0, out=U))
+    return _cross_gram(kernel, X, _check_unit_rows(points2))
+
+
+def _cross_gram(kernel, X, Y):
+    """``kappa(X @ Y.T)`` for 2-D arrays of rows already checked to be unit vectors."""
+    U = X @ Y.T
     return kernel(np.clip(U, -1.0, 1.0, out=U))
 
 
@@ -264,6 +269,9 @@ class McOracleConfig:
     Samples are generated in fixed-size chunks, each from an independent
     Philox substream (``jumped(chunk_index)``), so the estimate is
     bit-reproducible no matter how chunks are scheduled across workers.
+    The Philox stream, the chunk size and the order in which chunk sums
+    are accumulated are the reproducibility contract: changing any of them
+    changes the estimate.
     """
 
     sample_count: int
@@ -275,11 +283,25 @@ class McOracleConfig:
             raise ConfigurationError("sample_count must be positive")
 
 
-def _activation(s, z):
-    # a_s(z) = max(0, z)^s with the convention 0^0 = 0 (a_0 is the step function)
-    if s == 0:
-        return (z > 0.0).astype(float)
-    return np.where(z > 0.0, z, 0.0) ** s
+def _mc_integrand(spec, u, g1, g2):
+    """Per-sample integrand of the Monte-Carlo oracle for projections g1, g2.
+
+    ``c^2 q^s`` with ``q = a_1(g1) a_1(g2)``, plus ``c^2 u s^2 q^(s-1)`` for NT.
+    q is formed once and its powers by products; q^0 is the step-function
+    product, tested on min(g1, g2) because q itself can underflow to 0.
+    """
+    s, c2 = spec.s, spec.c_squared
+    q = np.maximum(g1, 0.0)
+    q *= np.maximum(g2, 0.0)
+    if s == 1:
+        low = (np.minimum(g1, g2) > 0.0).astype(float)
+        vals = c2 * q
+    else:
+        low = q if s == 2 else q * q  # q^(s-1)
+        vals = c2 * (low * q)
+    if spec.family == "nt":
+        vals += c2 * u * s * s * low
+    return vals
 
 
 def mc_estimate(spec, x, x_prime, cfg):
@@ -287,7 +309,10 @@ def mc_estimate(spec, x, x_prime, cfg):
 
     Draws ``w ~ N(0, I_d)`` and averages the defining integrand:
     ``c^2 * a_s(w.x) a_s(w.x')`` for RF, plus the derivative term
-    ``c^2 * (x.x') * s^2 * a_{s-1}(w.x) a_{s-1}(w.x')`` for NT.
+    ``c^2 * (x.x') * s^2 * a_{s-1}(w.x) a_{s-1}(w.x')`` for NT, with
+    ``a_s(z) = max(0, z)^s`` and ``a_0`` the step function.  Each chunk of
+    samples adds its sum and its sum of squares (one dot product) to the
+    running totals, in chunk order.
 
     Returns
     -------
@@ -302,8 +327,6 @@ def mc_estimate(spec, x, x_prime, cfg):
         raise ConfigurationError(f"inputs must have shape ({spec.d},)")
     _check_unit_rows([x, x_prime], "mc_estimate input")
 
-    c2 = spec.c_squared
-    s = spec.s
     u = float(np.clip(x @ x_prime, -1.0, 1.0))
     total = 0.0
     total_sq = 0.0
@@ -313,15 +336,9 @@ def mc_estimate(spec, x, x_prime, cfg):
         take = min(cfg.chunk_size, cfg.sample_count - n_done)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
         W = rng.standard_normal((take, spec.d))
-        g1 = W @ x
-        g2 = W @ x_prime
-        vals = c2 * _activation(s, g1) * _activation(s, g2)
-        if spec.family == "nt":
-            vals = vals + (
-                c2 * u * s * s * _activation(s - 1, g1) * _activation(s - 1, g2)
-            )
+        vals = _mc_integrand(spec, u, W @ x, W @ x_prime)
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        total_sq += float(vals @ vals)
         n_done += take
         chunk_index += 1
 

@@ -20,7 +20,7 @@ d = 2 the Gegenbauer weight degenerates (alpha = 0).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gamma, pi, prod, sqrt
+from math import comb, exp, gamma, lgamma, log, pi, prod, sqrt
 
 import numpy as np
 
@@ -59,17 +59,43 @@ def multiplicity(d, i):
 
 
 def _gegenbauer_rows(alpha, max_degree, u):
-    """Yield (i, C_i^alpha(u)) for i = 0..max_degree via the three-term recurrence."""
+    """Yield (i, C_i^alpha(u)) for i = 0..max_degree via the three-term recurrence.
+
+    The rows live in three rotating buffers updated in place: a yielded row
+    stays valid until the row after next is requested, so consume or copy it.
+    """
     prev2 = np.ones_like(u)
     yield 0, prev2
     if max_degree == 0:
         return
-    prev1 = 2.0 * alpha * u
+    prev1 = np.multiply(u, 2.0 * alpha, out=np.empty_like(u))
     yield 1, prev1
+    cur = np.empty_like(u)
     for i in range(2, max_degree + 1):
-        cur = (2.0 * (i + alpha - 1.0) * u * prev1 - (i + 2.0 * alpha - 2.0) * prev2) / i
+        # C_i = (2 (i + alpha - 1) u C_{i-1} - (i + 2 alpha - 2) C_{i-2}) / i
+        np.multiply(u, 2.0 * (i + alpha - 1.0), out=cur)
+        cur *= prev1
+        prev2 *= i + 2.0 * alpha - 2.0
+        cur -= prev2
+        cur /= i
         yield i, cur
-        prev2, prev1 = prev1, cur
+        prev2, prev1, cur = prev1, cur, prev2
+
+
+def _gegenbauer_norms(alpha, max_degree):
+    """Closed-form norms h_i = <C_i, C_i>_w for i = 0..max_degree.
+
+    h_i = pi 2^(1 - 2 alpha) Gamma(i + 2 alpha) / (i! (i + alpha) Gamma(alpha)^2).
+    h_0 goes through lgamma, because Gamma overflows past 171; h_i follows as
+    the running product of h_k / h_{k-1} = (k + 2 alpha - 1)(k + alpha - 1) /
+    (k (k + alpha)), which stays within a few ulps where the difference
+    lgamma(i + 2 alpha) - lgamma(i + 1) would lose 5e-13 by degree 400.
+    """
+    h0 = exp(log(pi) + (1.0 - 2.0 * alpha) * log(2.0)
+             + lgamma(2.0 * alpha) - 2.0 * lgamma(alpha)) / alpha
+    k = np.arange(1.0, max_degree + 1.0)
+    ratios = (k + 2.0 * alpha - 1.0) * (k + alpha - 1.0) / (k * (k + alpha))
+    return h0 * np.concatenate(([1.0], np.cumprod(ratios)))
 
 
 def gegenbauer(alpha, i, u):
@@ -107,6 +133,30 @@ def addition_constant(d, i):
     )
 
 
+def _degree_constants(d, M):
+    """``(c_{i,d}, C_i(1), N_{d,i})`` for i = 0..M as arrays, d >= 3.
+
+    C_i(1) = binomial(i + d - 3, i) and N_{d,i} = (2i + d - 2) C_i(1) / (d - 2)
+    are computed on exact Python integers and returned as int64 (a
+    ParameterError if they do not fit); c_{i,d} is :func:`addition_constant`,
+    bit for bit.
+    """
+    d = int(d)  # Python ints below, even for a numpy d: no silent wraparound
+    i = np.arange(M + 1).astype(object)
+    at_one = np.ones(M + 1, dtype=object)
+    for k in range(1, d - 2):
+        at_one = at_one * (i + k) // k  # binomial(i + k, k), exact at every step
+    mult = (2 * i + d - 2) * at_one // (d - 2)
+    try:
+        at_one, mult = at_one.astype(np.int64), mult.astype(np.int64)
+    except OverflowError:
+        raise ParameterError(
+            f"multiplicities at d={d} up to degree {M} exceed the int64 range"
+        ) from None
+    cfac = mult * gamma((d - 2) / 2.0) / (2.0 * pi ** ((d - 2) / 2.0) * at_one)
+    return cfac, at_one, mult
+
+
 def _composite_panel_edges(n_geo, n_mid):
     """Panel edges on [-1, 1]: geometrically refined near the endpoints."""
     edges = [-1.0]
@@ -117,6 +167,19 @@ def _composite_panel_edges(n_geo, n_mid):
         edges.append(1.0 - 0.5 * 2.0 ** (-k))
     edges.append(1.0)
     return np.array(edges)
+
+
+@lru_cache(maxsize=8)
+def _quadrature(d, panel_order, n_geo, n_mid):
+    """Read-only composite Gauss-Legendre nodes and weights, spherical weight folded in."""
+    edges = _composite_panel_edges(n_geo, n_mid)
+    x, w = np.polynomial.legendre.leggauss(panel_order)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    weights = (w * half).ravel() * (1.0 - nodes * nodes) ** ((d - 3) / 2.0)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 class GegenbauerBasis:
@@ -131,7 +194,9 @@ class GegenbauerBasis:
     panel; with the default 2*n_geo + n_mid = 72 panels the node budget
     exceeds 64*(max_degree + 8).
 
-    Immutable after construction.
+    The quadrature is built once per (d, panel order, n_geo, n_mid) and
+    shared: bases with equal parameters hold the same read-only ``nodes``
+    and ``weights`` arrays.  Immutable after construction.
     """
 
     def __init__(self, d, max_degree, n_geo=30, n_mid=12, panel_order=None):
@@ -145,32 +210,25 @@ class GegenbauerBasis:
         self.alpha = (d - 2) / 2.0
         self.max_degree = int(max_degree)
         p = panel_order if panel_order is not None else max_degree + 8 + d
-        edges = _composite_panel_edges(n_geo, n_mid)
-        x, w = np.polynomial.legendre.leggauss(p)
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            h = 0.5 * (b - a)
-            nodes.append(a + h * (x + 1.0))
-            weights.append(w * h)
-        t = np.concatenate(nodes)
-        base_w = np.concatenate(weights)
-        self.nodes = t
-        self.weights = base_w * (1.0 - t * t) ** ((d - 3) / 2.0)
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        self.nodes, self.weights = _quadrature(self.d, int(p), int(n_geo), int(n_mid))
 
     def project(self, values, max_degree=None):
-        """Projection coefficients b_i = <f, C_i>_w / <C_i, C_i>_w for i <= max_degree."""
+        """Projection coefficients b_i = <f, C_i>_w / h_i for i <= max_degree.
+
+        The numerator is one weighted dot product per degree; the norm is the
+        closed form h_i = <C_i, C_i>_w = pi 2^(1 - 2 alpha) Gamma(i + 2 alpha)
+        / (i! (i + alpha) Gamma(alpha)^2).
+        """
         M = self.max_degree if max_degree is None else max_degree
         if M > self.max_degree:
             raise ConfigurationError(
                 f"basis supports degrees <= {self.max_degree}, requested {M}"
             )
         wv = self.weights * np.asarray(values, dtype=float)
-        out = np.empty(M + 1)
+        dots = np.empty(M + 1)
         for i, Ci in _gegenbauer_rows(self.alpha, M, self.nodes):
-            out[i] = (wv @ Ci) / (self.weights @ (Ci * Ci))
-        return out
+            dots[i] = wv @ Ci
+        return dots / _gegenbauer_norms(self.alpha, M)
 
     def orthogonality_defect(self):
         """Largest normalized off-diagonal weighted inner product between basis rows."""
@@ -271,7 +329,7 @@ def mercer_spectrum(kernel, d, M, basis=None, provenance=None):
 
     values = kernel(basis.nodes)
     b = basis.project(values, M)
-    cfac = np.array([addition_constant(d, i) for i in range(M + 1)])
+    cfac, at_one, mult = _degree_constants(d, M)
     lam = b / cfac
 
     # Clamp scale: the largest eigenvalue (equals lam[0] for NT/RF kernels,
@@ -287,7 +345,7 @@ def mercer_spectrum(kernel, d, M, basis=None, provenance=None):
     n_clamped = int(negatives.sum())
     lam = np.where(negatives, 0.0, lam)
 
-    mass = float(np.sum(lam * cfac * [gegenbauer_at_one(d, i) for i in range(M + 1)]))
+    mass = float(np.sum(lam * cfac * at_one))
     kappa_one = float(kernel(np.array(1.0)))
     if mass > kappa_one + 1e-6:
         raise SpectralAccuracyError(
@@ -295,7 +353,6 @@ def mercer_spectrum(kernel, d, M, basis=None, provenance=None):
             "increase quadrature order"
         )
 
-    mult = np.array([multiplicity(d, i) for i in range(M + 1)], dtype=np.int64)
     return SpectrumTable(
         d=d, eigenvalues=lam, multiplicities=mult,
         provenance=provenance, n_clamped=n_clamped,
@@ -309,9 +366,9 @@ def reconstruct(table, u):
         raise UnsupportedDimensionError("reconstruction requires d >= 3")
     arr = np.asarray(u, dtype=float)
     out = np.zeros_like(arr, dtype=float)
-    cfac = [addition_constant(table.d, i) for i in range(table.max_degree + 1)]
+    coef = table.eigenvalues * _degree_constants(table.d, table.max_degree)[0]
     for i, Ci in _gegenbauer_rows(alpha, table.max_degree, arr):
-        out = out + table.eigenvalues[i] * cfac[i] * Ci
+        out += coef[i] * Ci
     return float(out) if arr.ndim == 0 else out
 
 
@@ -324,9 +381,9 @@ def _cached_full_spectrum(family, s, d, m_max):
 def tail_sum(family, s, d, M, m_max=TAIL_M_MAX, safety=1.1):
     """Upper bound on the sup-norm of the degree->M spectral tail.
 
-    Sums lam_i N_{d,i} Gamma((d-2)/2)/(2 pi^{(d-2)/2}) — each degree's
-    contribution to kappa(1), which bounds its contribution at any u —
-    numerically for M < i <= m_max, then adds an analytic power-law
+    Sums lam_i c_{i,d} C_i(1) = lam_i N_{d,i} Gamma((d-2)/2)/(2 pi^{(d-2)/2})
+    — each degree's contribution to kappa(1), which bounds its contribution
+    at any u — numerically for M < i <= m_max, then adds an analytic power-law
     remainder whose constant is fit from the last computed octave
     (degree terms decay like i^{-2s} for NT and i^{-2s-2} for RF).
     The log-log slope of the result vs M approaches -(2s-1) for NT and
@@ -335,8 +392,8 @@ def tail_sum(family, s, d, M, m_max=TAIL_M_MAX, safety=1.1):
     if M >= m_max:
         raise ConfigurationError(f"tail_sum requires M < m_max, got M={M}, m_max={m_max}")
     table = _cached_full_spectrum(family, s, d, m_max)
-    const = gamma((d - 2) / 2.0) / (2.0 * pi ** ((d - 2) / 2.0))
-    terms = table.eigenvalues * table.multiplicities * const
+    cfac, at_one, _ = _degree_constants(d, m_max)
+    terms = table.eigenvalues * cfac * at_one
     numeric = float(terms[M + 1 :].sum())
     p = 2 * s if family == "nt" else 2 * s + 2
     octave = float(terms[m_max // 2 + 1 :].sum())

@@ -13,6 +13,7 @@ from spherekern import (
     sample_sphere,
     variance_sum_check,
 )
+from spherekern import cli
 from spherekern.cli import build_parser, main, resolve_config
 from spherekern.errors import ConfigurationError
 from test_acceptance import CLI_CASES
@@ -76,6 +77,47 @@ class TestExitCodes:
     def test_error_message_is_single_line(self):
         res = run_cli("kernel-eval", "--family", "rf", "--s", "5", "--u", "0")
         assert res.stderr.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["infogain", "--family", "nt", "--s", "1", "--lam", "nan"],
+         "lam must be finite and positive, got nan"),
+        (["infogain", "--family", "nt", "--s", "1", "--lam", "inf"],
+         "lam must be finite and positive, got inf"),
+        (["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--lam2", "-1"],
+         "lam2 must be finite and positive, got -1.0"),
+        (["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--ridge", "0"],
+         "ridge must be finite and positive, got 0.0"),
+        (["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--noise-scale", "-1"],
+         "noise_scale must be finite and non-negative, got -1.0"),
+        (["matern-compare", "--s", "1", "--nu", "nan"],
+         "nu must be finite and positive, got nan"),
+        (["matern-compare", "--s", "1", "--nu", "1.5", "--lengthscale", "-2"],
+         "lengthscale must be finite and positive, got -2.0"),
+        (["sample-greedy", "--family", "nt", "--s", "1", "--lam", "0"],
+         "lam must be finite and positive, got 0.0"),
+        (["eigendecay", "--family", "nt", "--s", "1", "--degree-min", "70"],
+         "degree_min 70 is above degree_max 59"),
+        (["eigendecay", "--family", "nt", "--s", "1", "--degree-max", "5"],
+         "degree_min 9 is above degree_max 5"),
+        (["matern-compare", "--s", "1", "--nu", "1.5", "--degree-min", "61",
+          "--degree-max", "80"], "degree_min 61 is above max_degree 60"),
+    ])
+    def test_out_of_range_value_is_two_before_any_work(self, argv, message, monkeypatch,
+                                                       capsys):
+        """An out-of-range value exits 2 with one line; the subcommand never starts."""
+        def never(cfg):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setitem(cli._HANDLERS, argv[0], never)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ConfigurationError: {message}\n"
+
+    def test_out_of_range_config_value_is_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"family": "nt", "s": 1, "lam": NaN}')
+        assert main(["infogain", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "ConfigurationError: lam must be finite and positive, got nan\n"
 
     @pytest.mark.parametrize("command, config", [
         ("spectrum", {"family": "nt", "s": 1, "max_degree": "60"}),

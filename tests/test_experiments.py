@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from spherekern import (
     theoretical_mig_exponent,
 )
 from spherekern import experiments as exp_mod
-from spherekern import regression
+from spherekern import kernels, regression
 
 
 class TestTheoreticalExponents:
@@ -114,6 +115,16 @@ class TestMakeSynthetic:
         batch = f(x)
         for i in range(4):
             assert_allclose(f(x[i]), batch[i], rtol=1e-12)
+
+    def test_points_and_anchors_checked(self):
+        """A call rejects non-unit points; construction rejects non-unit anchors."""
+        f = make_synthetic(make_kernel("nt", 1), 3, n0=20, seed=3, range_sample=100)
+        with pytest.raises(DomainError, match="point 1"):
+            f(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+        bad = f.anchors.copy()
+        bad[4] *= 1.5
+        with pytest.raises(DomainError, match="anchor 4"):
+            dataclasses.replace(f, anchors=bad)
 
     def test_zero_values_degenerate(self):
         with pytest.raises(DegenerateFunctionError):
@@ -269,6 +280,35 @@ class TestErrorRateRepetition:
         finally:
             tracemalloc.stop()
         assert peak < eval_sample * grid[-1] * 8 / 4
+
+    @pytest.mark.parametrize("nested", [True, False])
+    def test_unit_checks_do_not_grow_with_tiles(self, monkeypatch, nested):
+        """Rows are checked once per repetition, not once per evaluation tile."""
+        calls = []
+        real = kernels._check_unit_rows
+
+        def counting(points, *args, **kwargs):
+            calls.append(np.shape(points))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_check_unit_rows", counting)
+        monkeypatch.setattr(exp_mod, "_check_unit_rows", counting)
+        counts = []
+        for eval_sample in (300, 3000):  # ten times as many tiles
+            calls.clear()
+            self._rep(SMALL_GRID, nested, eval_sample=eval_sample)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_tile_path_is_bitwise_the_checked_path(self):
+        """The unchecked tile evaluations give the bits of public gram and target calls."""
+        kernel = make_kernel("nt", 2, d=3)
+        target = make_synthetic(kernel, 3, n0=30, ridge=0.01, seed=2, range_sample=500)
+        pts, X = sample_sphere(3, 50, 7), sample_sphere(3, 40, 8)
+        checked = gram(kernel, pts, target.anchors) @ target.weights / target.range_normalizer
+        assert np.array_equal(target._values(pts), checked)
+        assert np.array_equal(target(pts), checked)
+        assert np.array_equal(kernels._cross_gram(kernel, pts, X), gram(kernel, pts, X))
 
     @pytest.mark.parametrize("nested", [True, False])
     def test_matches_direct_refit_per_n(self, nested):

@@ -316,6 +316,30 @@ class TestMonteCarlo:
         cfg = McOracleConfig(sample_count=3 * (1 << 10) + 17, seed=5)
         assert mc_estimate(spec, x, xp, cfg) == mc_estimate(spec, x, xp, cfg)
 
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_fused_integrand_matches_literal(self, family, s):
+        """One chunk's integrand equals c^2 a_s(g1) a_s(g2) (+ the NT term) to 1e-15."""
+        spec = KernelSpec(family, s)
+        rng = np.random.default_rng(3)
+        g1, g2 = rng.standard_normal((2, 1 << 12))
+        g1[:8] = 0.0           # exact zeros on one side, the other, and both
+        g2[4:12] = 0.0
+        g1[12:16] = g2[12:16] = 1e-200  # q = g1 * g2 underflows to 0
+        u = 0.3
+
+        def a(k, z):
+            return (z > 0.0).astype(float) if k == 0 else np.where(z > 0.0, z, 0.0) ** k
+
+        c2 = spec.c_squared
+        literal = c2 * a(s, g1) * a(s, g2)
+        if family == "nt":
+            literal = literal + c2 * u * s * s * a(s - 1, g1) * a(s - 1, g2)
+        fused = kernels._mc_integrand(spec, u, g1, g2)
+        assert_allclose(fused, literal, rtol=1e-15, atol=0)
+        if family == "nt" and s == 1:
+            assert np.all(fused[12:16] == c2 * u)  # the step term survives underflow
+
     def test_chunking_covers_all_samples(self):
         """A sample count spanning several chunks still averages every draw."""
         spec = KernelSpec("rf", 1)

@@ -28,7 +28,12 @@ from spherekern import (
     tail_sum,
     verify_endpoint,
 )
-from spherekern.spectral import _loglog_fit
+from spherekern.spectral import (
+    _degree_constants,
+    _gegenbauer_norms,
+    _gegenbauer_rows,
+    _loglog_fit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +178,79 @@ class TestGegenbauerBasis:
         with pytest.raises(UnsupportedDimensionError):
             GegenbauerBasis(2, 10)
 
+    def test_equal_parameters_share_one_read_only_quadrature(self):
+        a, b = GegenbauerBasis(3, 60), GegenbauerBasis(3, 60)
+        assert a.nodes is b.nodes and a.weights is b.weights
+        assert not a.nodes.flags.writeable and not a.weights.flags.writeable
+        # d = 4, M = 59 has the panel order of d = 3, M = 60 but other weights
+        other = GegenbauerBasis(4, 59)
+        assert other.nodes.size == a.nodes.size
+        assert not np.shares_memory(other.weights, a.weights)
+        assert not np.shares_memory(other.nodes, a.nodes)
+
+
+def _exact_norm(d, i):
+    """h_i = <C_i, C_i>_w at alpha = (d-2)/2 from exact rational arithmetic."""
+    from fractions import Fraction
+    from math import factorial
+
+    m = d - 2  # 2 alpha
+    if m % 2 == 0:  # Gamma(alpha)^2 = ((alpha-1)!)^2; h_i = pi * rational
+        gamma_sq, pi_factor = Fraction(factorial(m // 2 - 1) ** 2), np.pi
+    else:  # Gamma(k + 1/2)^2 = pi ((2k)! / (4^k k!))^2; the pi cancels
+        k = (m - 1) // 2
+        gamma_sq, pi_factor = Fraction(factorial(2 * k), 4**k * factorial(k)) ** 2, 1.0
+    rational = Fraction(2, 2**m) * factorial(i + m - 1) / (
+        factorial(i) * Fraction(2 * i + m, 2) * gamma_sq
+    )
+    return float(rational) * pi_factor
+
+
+class TestClosedFormNorms:
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    @pytest.mark.parametrize("M", [0, 1, 2, 60, 400])
+    def test_match_quadrature(self, d, M):
+        """The closed form agrees with the quadrature norms weights @ (C_i * C_i)."""
+        basis = GegenbauerBasis(d, M)
+        rows = _gegenbauer_rows(basis.alpha, M, basis.nodes)
+        quad = [basis.weights @ (Ci * Ci) for _, Ci in rows]
+        assert_allclose(_gegenbauer_norms(basis.alpha, M), quad, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 9, 30])
+    def test_match_exact_values(self, d):
+        """The running product stays within a few ulps of the exact norms up to degree 400."""
+        exact = [_exact_norm(d, i) for i in range(401)]
+        assert_allclose(_gegenbauer_norms((d - 2) / 2.0, 400), exact, rtol=2e-14, atol=0)
+
+    def test_buffered_recurrence_is_the_plain_recurrence(self):
+        """The in-place rows are bitwise the rows of the textbook recurrence."""
+        u = np.linspace(-1.0, 1.0, 301)
+        for alpha in (0.5, 1.0, 1.5, 3.0):
+            rows = [Ci.copy() for _, Ci in _gegenbauer_rows(alpha, 40, u)]
+            plain = [np.ones_like(u), 2.0 * alpha * u]
+            for i in range(2, 41):
+                plain.append((2.0 * (i + alpha - 1.0) * u * plain[-1]
+                              - (i + 2.0 * alpha - 2.0) * plain[-2]) / i)
+            for got, want in zip(rows, plain):
+                assert np.array_equal(got, want)
+
+
+class TestDegreeConstants:
+    def test_match_scalar_functions(self):
+        """The arrays equal the per-degree functions exactly, c_{i,d} bit for bit."""
+        for d in (3, 4, 5, 6, 8):
+            cfac, at_one, mult = _degree_constants(d, 120)
+            assert cfac.tolist() == [addition_constant(d, i) for i in range(121)]
+            assert at_one.tolist() == [gegenbauer_at_one(d, i) for i in range(121)]
+            assert mult.tolist() == [multiplicity(d, i) for i in range(121)]
+
+    def test_int64_range(self):
+        """N_{11,400} < 2^63 is exact; N_{12,400} > 2^63 is a parameter error."""
+        assert int(_degree_constants(11, 400)[2][-1]) == multiplicity(11, 400)
+        for d in (12, np.int64(12)):
+            with pytest.raises(ParameterError, match="int64"):
+                _degree_constants(d, 400)
+
 
 class TestMercerSpectrum:
     def test_linear_kernel_is_pure_degree_one(self):
@@ -210,6 +288,24 @@ class TestMercerSpectrum:
     def test_rejects_d2(self):
         with pytest.raises(UnsupportedDimensionError):
             mercer_spectrum(make_kernel("rf", 1), 2, 10)
+
+    # n_clamped of the spectra the benchmark computes: (l, d) = (2, 3), (2, 5),
+    # (3, 3), (3, 5) at M = 60, then l = 2, d = 3 at M = 400
+    BENCHMARK_CLAMPED = {
+        ("nt", 1): [16, 14, 0, 0, 103], ("nt", 2): [12, 13, 0, 0, 96],
+        ("nt", 3): [15, 14, 0, 0, 134], ("rf", 1): [16, 14, 0, 0, 103],
+        ("rf", 2): [12, 14, 0, 0, 127], ("rf", 3): [15, 14, 0, 0, 175],
+    }
+
+    @pytest.mark.parametrize("family, s", sorted(BENCHMARK_CLAMPED))
+    def test_benchmark_clamp_counts_pinned(self, family, s):
+        """The closed-form norms leave every benchmark spectrum's n_clamped as it was."""
+        cases = [(2, 3, 60), (2, 5, 60), (3, 3, 60), (3, 5, 60), (2, 3, 400)]
+        counts = [
+            mercer_spectrum(make_kernel(family, s, l=l, d=d), d, M).n_clamped
+            for l, d, M in cases
+        ]
+        assert counts == self.BENCHMARK_CLAMPED[(family, s)]
 
 
 class TestEigendecay:
