@@ -1,6 +1,14 @@
-"""spherekern: neural-kernel spectra and regression on the sphere."""
+"""spherekern: neural-kernel spectra and regression on the sphere.
+
+``import spherekern`` loads the kernel and spectral layers only.  The names
+of ``regression`` and ``experiments`` (and through them ``scipy.linalg``)
+are resolved on first access by the module ``__getattr__`` (PEP 562), so
+a process that never fits a model never imports them.
+"""
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .errors import (
     ConfigurationError,
@@ -16,17 +24,6 @@ from .errors import (
     UnsupportedDimensionError,
     UnsupportedSmoothnessError,
 )
-from .experiments import (
-    ErrorRateReport,
-    MigGrowthReport,
-    SyntheticFunction,
-    error_rate_experiment,
-    fit_loglog_slope,
-    make_synthetic,
-    mig_growth_experiment,
-    theoretical_error_exponent,
-    theoretical_mig_exponent,
-)
 from .kernels import (
     DotProductKernel,
     KernelSpec,
@@ -39,22 +36,6 @@ from .kernels import (
     rf_closed,
     rf_deep,
     rf_derivative,
-)
-from .regression import (
-    ConfidenceParams,
-    FittedRegressor,
-    GreedyTrace,
-    InfoGainReport,
-    SphericalDataset,
-    confidence_band,
-    effective_dimension,
-    fit,
-    greedy_max_variance,
-    information_gain,
-    predict_mean,
-    predict_variance,
-    sample_sphere,
-    variance_sum_check,
 )
 from .spectral import (
     GegenbauerBasis,
@@ -75,6 +56,37 @@ from .spectral import (
     tail_sum,
     verify_endpoint,
 )
+
+# Names resolved on first access, by home module.
+_LAZY = {
+    **dict.fromkeys((
+        "ConfidenceParams", "FittedRegressor", "GreedyTrace", "InfoGainReport",
+        "SphericalDataset", "confidence_band", "effective_dimension", "fit",
+        "greedy_max_variance", "information_gain", "predict_mean",
+        "predict_variance", "sample_sphere", "variance_sum_check",
+    ), "regression"),
+    **dict.fromkeys((
+        "ErrorRateReport", "MigGrowthReport", "SyntheticFunction",
+        "error_rate_experiment", "fit_loglog_slope", "make_synthetic",
+        "mig_growth_experiment", "theoretical_error_exponent",
+        "theoretical_mig_exponent",
+    ), "experiments"),
+}
+
+
+def __getattr__(name):
+    """Import ``regression`` or ``experiments`` when it or one of its names is first used."""
+    if name in ("regression", "experiments"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__():
+    """The loaded names plus the lazy ones, so ``dir`` lists all of ``__all__``."""
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

@@ -17,6 +17,11 @@ any work starts: the float parameters lam, lam2, nu, lengthscale and ridge
 must be finite and positive, noise_scale finite and non-negative, and
 degree_min (or its default) no larger than degree_max and max_degree.
 
+Only infogain, sample-greedy, error-rate and mig-growth import
+``regression``, ``experiments`` and ``scipy.linalg``, each at the entry of
+its handler, before any work: kernel-eval, spectrum, eigendecay and
+matern-compare never load them.
+
 Exit codes: 0 success, 2 configuration error (bad parameters, domains,
 unsupported values), 3 numerical failure (factorization, spectral
 accuracy, fit, or experiment errors).
@@ -32,18 +37,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .experiments import (
-    SALT_GREEDY_GRID,
-    error_rate_experiment,
-    mig_growth_experiment,
-)
 from .kernels import _check_unit_rows, make_kernel
-from .regression import (
-    InfoGainReport,
-    _infogain_summary,
-    greedy_max_variance,
-    sample_sphere,
-)
 from .serialize import csv_document, json_document
 from .spectral import (
     MaternSpec,
@@ -354,6 +348,8 @@ def cmd_matern_compare(cfg):
 
 
 def cmd_infogain(cfg):
+    from .regression import InfoGainReport, _infogain_summary, sample_sphere
+
     kernel = make_kernel(cfg["family"], cfg["s"], d=cfg["d"])
     points = sample_sphere(cfg["d"], cfg["n"], cfg["seed"])
     lam = cfg["lam"]
@@ -370,6 +366,9 @@ def cmd_infogain(cfg):
 
 
 def cmd_sample_greedy(cfg):
+    from .experiments import SALT_GREEDY_GRID
+    from .regression import greedy_max_variance, sample_sphere
+
     kernel = make_kernel(cfg["family"], cfg["s"], d=cfg["d"])
     grid = sample_sphere(cfg["d"], cfg["grid_size"], [cfg["seed"], SALT_GREEDY_GRID])
     trace = greedy_max_variance(kernel, grid, cfg["n"], cfg["lam"])
@@ -377,6 +376,8 @@ def cmd_sample_greedy(cfg):
 
 
 def cmd_error_rate(cfg):
+    from .experiments import error_rate_experiment
+
     report = error_rate_experiment(
         cfg["family"], cfg["s"], cfg["d"],
         n_grid=2 ** np.arange(1, cfg["max_exp"] + 1),
@@ -394,6 +395,8 @@ def cmd_error_rate(cfg):
 
 
 def cmd_mig_growth(cfg):
+    from .experiments import mig_growth_experiment
+
     report = mig_growth_experiment(
         cfg["family"], cfg["s"], cfg["d"],
         n_grid=2 ** np.arange(1, cfg["max_exp"] + 1),

@@ -4,7 +4,12 @@ Two branches matter for the CLI exit-code mapping: ``ConfigurationError``
 subclasses signal bad inputs or parameters (exit code 2), while
 ``NumericalError`` subclasses signal a computation that could not be
 completed reliably (exit code 3).
+
+``_check_positive`` is the one finite-and-positive range check that the
+library's float parameters go through.
 """
+
+from math import isfinite
 
 
 class SphereKernError(Exception):
@@ -53,3 +58,13 @@ class DegenerateFunctionError(NumericalError):
 
 class ExperimentError(NumericalError):
     """Too many repetitions of an experiment failed to produce results."""
+
+
+def _check_positive(value, message, allow_zero=False):
+    """Raise ``ParameterError(message)`` unless ``value`` is finite and > 0.
+
+    With ``allow_zero`` the bound is >= 0.  NaN and +-inf always fail, which
+    a bare ``value <= 0`` test lets through.
+    """
+    if not (isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        raise ParameterError(message)

@@ -40,6 +40,7 @@ from .errors import (
     ExperimentError,
     NumericalError,
     ParameterError,
+    _check_positive,
 )
 from .kernels import _BLOCK, _check_unit_rows, _cross_gram, gram, make_kernel
 from .regression import _chol_with_jitter, _ridge_factor, greedy_max_variance, sample_sphere
@@ -138,8 +139,7 @@ def make_synthetic(kernel, d, n0=100, ridge=0.01, seed=0, range_sample=10_000,
         If the certified norm chain |g|^2 <= |Y_hat|^2 / ridge fails
         numerically.
     """
-    if ridge <= 0:
-        raise ParameterError(f"ridge must be positive, got {ridge}")
+    _check_positive(ridge, f"ridge must be positive, got {ridge}")
     anchors = sample_sphere(d, n0, [seed, SALT_ANCHORS])
     K = gram(kernel, anchors)
     if anchor_values is None:
@@ -310,6 +310,12 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
     half = _upper_half(n_grid)
     if repetitions < 1:
         raise ParameterError("repetitions must be >= 1")
+    if eval_sample < 1 or n0 < 1:
+        raise ParameterError(f"need eval_sample >= 1 and n0 >= 1, got {eval_sample} and {n0}")
+    _check_positive(train_lam2, f"train_lam2 must be positive, got {train_lam2}")
+    _check_positive(noise_scale, f"noise_scale must be nonnegative, got {noise_scale}",
+                    allow_zero=True)
+    _check_positive(ridge, f"ridge must be positive, got {ridge}")
 
     tasks = [
         (family, s, d, n_grid, master_seed + r, eval_sample, train_lam2,

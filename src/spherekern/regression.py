@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     IllConditionedGramError,
     ParameterError,
+    _check_positive,
 )
 from .kernels import _check_unit_rows, gram
 from .serialize import JsonReport, csv_document
@@ -61,8 +62,7 @@ class SphericalDataset:
         bad = np.flatnonzero(~np.isfinite(Y))
         if bad.size:
             raise DomainError(f"value {bad[0]} is not finite: {Y[bad[0]]}")
-        if self.noise_scale < 0:
-            raise ParameterError("noise_scale must be nonnegative")
+        _check_positive(self.noise_scale, "noise_scale must be nonnegative", allow_zero=True)
         X.setflags(write=False)
         Y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -87,10 +87,8 @@ class ConfidenceParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ParameterError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.norm_bound <= 0:
-            raise ParameterError("norm_bound must be positive")
-        if self.noise_scale < 0:
-            raise ParameterError("noise_scale must be nonnegative")
+        _check_positive(self.norm_bound, "norm_bound must be positive")
+        _check_positive(self.noise_scale, "noise_scale must be nonnegative", allow_zero=True)
 
     def beta(self, lam):
         """Multiplier beta(delta) = B + (R/lam) sqrt(2 log(1/delta))."""
@@ -121,8 +119,7 @@ class FittedRegressor:
     @classmethod
     def empty(cls, kernel, lam, d=None):
         """The prior model (no training data)."""
-        if lam <= 0:
-            raise ParameterError(f"lam must be positive, got {lam}")
+        _check_positive(lam, f"lam must be positive, got {lam}")
         if d is None:
             spec = getattr(kernel, "spec", None)
             d = spec.d if spec is not None else 3
@@ -189,8 +186,7 @@ def fit(kernel, dataset, lam):
     matrices (e.g. duplicated training points at small lam) get escalating
     diagonal jitter before the fit is abandoned.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    _check_positive(lam, f"lam must be positive, got {lam}")
     if len(dataset) == 0:
         raise ConfigurationError("fit requires a non-empty dataset; use FittedRegressor.empty")
     L, jitter = _ridge_factor(kernel, dataset.X, lam * lam)
@@ -244,8 +240,7 @@ def _infogain_summary(kernel, points, lam, effective_dim=True):
     ``effective_dim=False`` the n x n triangular solve, which only the
     effective dimension needs, is skipped and None returned in its place.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    _check_positive(lam, f"lam must be positive, got {lam}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     lam2 = lam * lam
@@ -338,8 +333,7 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     with the selection order, the variance at each selection, and per-prefix
     information gain, effective dimension, and variance-sum bound.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    _check_positive(lam, f"lam must be positive, got {lam}")
     grid = np.atleast_2d(np.asarray(candidate_grid, dtype=float))
     if grid.shape[0] == 0:
         raise ConfigurationError("candidate grid is empty")

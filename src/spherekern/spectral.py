@@ -32,6 +32,7 @@ from .errors import (
     SpectralAccuracyError,
     UnsupportedDimensionError,
     UnsupportedSmoothnessError,
+    _check_positive,
 )
 from .kernels import DotProductKernel, make_kernel, rf_closed
 from .serialize import JsonReport, csv_document
@@ -413,10 +414,9 @@ class MaternSpec:
     lengthscale: float = 1.0
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ParameterError(f"nu must be positive, got {self.nu}")
-        if self.lengthscale <= 0:
-            raise ParameterError(f"lengthscale must be positive, got {self.lengthscale}")
+        _check_positive(self.nu, f"nu must be positive, got {self.nu}")
+        _check_positive(self.lengthscale,
+                        f"lengthscale must be positive, got {self.lengthscale}")
         if self.d < 2:
             raise ParameterError(f"d must be >= 2, got {self.d}")
 

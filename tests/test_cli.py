@@ -395,3 +395,41 @@ class TestReports:
         payload = json.loads(res.stdout)["payload"]
         assert 0 < payload["min_ratio"] <= payload["max_ratio"]
         assert payload["ratio_spread"] < 20
+
+
+# Run in a fresh interpreter: imports the package and the CLI, runs the four
+# subcommands that factor nothing, then checks which modules were loaded.
+_COLD_START = """
+import sys
+import spherekern, spherekern.cli
+out = sys.argv[1]
+for argv in (
+    ["kernel-eval", "--family", "nt", "--s", "1", "--u", "0.5"],
+    ["spectrum", "--family", "nt", "--s", "1", "--max-degree", "8"],
+    ["eigendecay", "--family", "nt", "--s", "1", "--max-degree", "30",
+     "--degree-min", "9", "--degree-max", "29"],
+    ["matern-compare", "--s", "1", "--nu", "0.5", "--max-degree", "30",
+     "--degree-min", "6", "--degree-max", "28"],
+):
+    assert spherekern.cli.main(argv + ["--out", out]) == 0, argv
+loaded = [m for m in ("scipy.linalg", "spherekern.regression", "spherekern.experiments")
+          if m in sys.modules]
+assert not loaded, loaded
+
+for name in spherekern.__all__[1:]:  # __version__ first, then classes and functions
+    obj = getattr(spherekern, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+    if name in spherekern._LAZY:
+        assert obj.__module__ == "spherekern." + spherekern._LAZY[name], name
+assert set(spherekern.__all__) <= set(dir(spherekern))
+assert spherekern.experiments.cho_solve is spherekern.regression.cho_solve
+print("ok")
+"""
+
+
+def test_cold_start_loads_no_factorization_modules(tmp_path):
+    """Subcommands that factor nothing never import regression, experiments or scipy.linalg."""
+    res = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "out.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "ok\n"

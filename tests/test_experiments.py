@@ -245,6 +245,27 @@ class TestErrorRateExperiment:
         with pytest.raises(ParameterError, match=">= 3 entries"):
             error_rate_experiment("nt", 1, 3, n_grid=[2, 1024], repetitions=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"train_lam2": float("nan")}, "train_lam2 must be positive"),
+        ({"train_lam2": float("inf")}, "train_lam2 must be positive"),
+        ({"train_lam2": -1.0}, "train_lam2 must be positive"),
+        ({"train_lam2": 0.0}, "train_lam2 must be positive"),
+        ({"noise_scale": float("nan")}, "noise_scale must be nonnegative"),
+        ({"noise_scale": float("inf")}, "noise_scale must be nonnegative"),
+        ({"noise_scale": -1.0}, "noise_scale must be nonnegative"),
+        ({"ridge": float("nan")}, "ridge must be positive"),
+        ({"ridge": float("-inf")}, "ridge must be positive"),
+        ({"ridge": 0.0}, "ridge must be positive"),
+        ({"eval_sample": 0}, "eval_sample >= 1"),
+        ({"n0": 0}, "n0 >= 1"),
+    ])
+    def test_bad_arguments_rejected_before_any_repetition(self, monkeypatch, kwargs,
+                                                          message):
+        """Bad float and size arguments fail before the first repetition."""
+        monkeypatch.setattr(exp_mod, "_error_rate_rep", _must_not_run)
+        with pytest.raises(ParameterError, match=message):
+            error_rate_experiment("nt", 1, 3, n_grid=[2, 4, 8], repetitions=1, **kwargs)
+
 
 class TestErrorRateRepetition:
     """One repetition of ``_error_rate_rep``: factorizations, memory, values."""

@@ -10,6 +10,7 @@ from spherekern import (
     DomainError,
     FittedRegressor,
     IllConditionedGramError,
+    MaternSpec,
     ParameterError,
     SphericalDataset,
     confidence_band,
@@ -18,6 +19,7 @@ from spherekern import (
     greedy_max_variance,
     information_gain,
     make_kernel,
+    make_synthetic,
     predict_mean,
     predict_variance,
     sample_sphere,
@@ -28,6 +30,34 @@ from spherekern.regression import _chol_with_jitter
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
+
+_NT1 = make_kernel("nt", 1)
+_DATA = SphericalDataset(np.eye(3), [1.0, 2.0, 3.0])
+
+# Every library range check on a float parameter, as a call with the bad value.
+_RANGE_CHECKS = {
+    "MaternSpec.nu": lambda v: MaternSpec(nu=v, d=3),
+    "MaternSpec.lengthscale": lambda v: MaternSpec(nu=1.5, d=3, lengthscale=v),
+    "make_synthetic.ridge": lambda v: make_synthetic(_NT1, 3, n0=5, ridge=v,
+                                                     range_sample=50),
+    "FittedRegressor.empty.lam": lambda v: FittedRegressor.empty(_NT1, v),
+    "fit.lam": lambda v: fit(_NT1, _DATA, v),
+    "_infogain_summary.lam": lambda v: regression._infogain_summary(_NT1, np.eye(3), v),
+    "information_gain.lam": lambda v: information_gain(_NT1, np.eye(3), v),
+    "greedy_max_variance.lam": lambda v: greedy_max_variance(_NT1, np.eye(3), 2, v),
+    "SphericalDataset.noise_scale":
+        lambda v: SphericalDataset(np.eye(3), [1.0, 2.0, 3.0], noise_scale=v),
+    "ConfidenceParams.noise_scale": lambda v: ConfidenceParams(1.0, v, 0.1),
+    "ConfidenceParams.norm_bound": lambda v: ConfidenceParams(v, 0.1, 0.1),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("entry", sorted(_RANGE_CHECKS))
+def test_range_checks_reject_nan_inf_and_negative(entry, value):
+    """NaN and inf fail the same check as a negative value, with its message."""
+    with pytest.raises(ParameterError, match="must be (positive|nonnegative)"):
+        _RANGE_CHECKS[entry](value)
 
 
 class TestSphericalDataset:
