@@ -88,69 +88,10 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY))
 
 
+# Every name imported above from a submodule, then the lazy ones.
 __all__ = [
     "__version__",
-    "ConfigurationError",
-    "DegenerateFunctionError",
-    "DomainError",
-    "DotProductKernel",
-    "ExperimentError",
-    "FitError",
-    "IllConditionedGramError",
-    "KernelSpec",
-    "McOracleConfig",
-    "NumericalError",
-    "ParameterError",
-    "SphereKernError",
-    "SpectralAccuracyError",
-    "UnsupportedDimensionError",
-    "UnsupportedSmoothnessError",
-    "ConfidenceParams",
-    "ErrorRateReport",
-    "FittedRegressor",
-    "GegenbauerBasis",
-    "GreedyTrace",
-    "InfoGainReport",
-    "MaternSpec",
-    "MigGrowthReport",
-    "SpectrumTable",
-    "SphericalDataset",
-    "SyntheticFunction",
-    "addition_constant",
-    "confidence_band",
-    "default_fit_range",
-    "effective_dimension",
-    "eigendecay_fit",
-    "endpoint_coefficient",
-    "error_rate_experiment",
-    "fit",
-    "fit_loglog_slope",
-    "flatten_spectrum",
-    "gegenbauer",
-    "gegenbauer_at_one",
-    "gram",
-    "greedy_max_variance",
-    "information_gain",
-    "make_kernel",
-    "make_synthetic",
-    "matern_spectrum",
-    "mc_estimate",
-    "mercer_spectrum",
-    "mig_growth_experiment",
-    "multiplicity",
-    "nt_deep",
-    "nt_two_layer",
-    "predict_mean",
-    "predict_variance",
-    "reconstruct",
-    "rf_closed",
-    "rf_deep",
-    "rf_derivative",
-    "rkhs_equivalence_ratio",
-    "sample_sphere",
-    "tail_sum",
-    "theoretical_error_exponent",
-    "theoretical_mig_exponent",
-    "variance_sum_check",
-    "verify_endpoint",
+    *(name for name, obj in globals().items()
+      if getattr(obj, "__module__", "").startswith(f"{__name__}.")),
+    *_LAZY,
 ]

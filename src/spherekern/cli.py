@@ -30,13 +30,12 @@ accuracy, fit, or experiment errors).
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, _in_range
 from .kernels import _check_unit_rows, make_kernel
 from .serialize import csv_document, json_document
 from .spectral import (
@@ -248,9 +247,7 @@ def _check_values(cfg):
         raise ConfigurationError(f"format must be csv or json, got {cfg['format']!r}")
     for pname, value in cfg.items():
         sign = _SIGNS.get(pname)
-        if sign and not (
-            math.isfinite(value) and (value >= 0 if sign == "non-negative" else value > 0)
-        ):
+        if sign and not _in_range(value, allow_zero=sign == "non-negative"):
             raise ConfigurationError(f"{pname} must be finite and {sign}, got {value!r}")
     if "degree_min" in cfg:
         lo, hi = _degree_range(cfg)

@@ -5,8 +5,9 @@ subclasses signal bad inputs or parameters (exit code 2), while
 ``NumericalError`` subclasses signal a computation that could not be
 completed reliably (exit code 3).
 
-``_check_positive`` is the one finite-and-positive range check that the
-library's float parameters go through.
+``_in_range`` is the one finite-and-positive range rule: the library's
+float parameters go through it by ``_check_positive``, the CLI's by
+``cli._check_values``.
 """
 
 from math import isfinite
@@ -60,11 +61,15 @@ class ExperimentError(NumericalError):
     """Too many repetitions of an experiment failed to produce results."""
 
 
-def _check_positive(value, message, allow_zero=False):
-    """Raise ``ParameterError(message)`` unless ``value`` is finite and > 0.
+def _in_range(value, allow_zero=False):
+    """Whether ``value`` is finite and > 0 (>= 0 with ``allow_zero``).
 
-    With ``allow_zero`` the bound is >= 0.  NaN and +-inf always fail, which
-    a bare ``value <= 0`` test lets through.
+    NaN and +-inf always fail, which a bare ``value <= 0`` test lets through.
     """
-    if not (isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+    return isfinite(value) and (value >= 0 if allow_zero else value > 0)
+
+
+def _check_positive(value, message, allow_zero=False):
+    """Raise ``ParameterError(message)`` unless ``_in_range(value, allow_zero)``."""
+    if not _in_range(value, allow_zero):
         raise ParameterError(message)

@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve
+from scipy.linalg import cho_solve
 
 from .errors import (
     DegenerateFunctionError,
@@ -86,8 +86,9 @@ def fit_loglog_slope(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3 or ys.size != xs.size:
         raise ParameterError(f"need >= 3 paired points, got {xs.size} and {ys.size}")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise DomainError("log-log fit requires strictly positive inputs")
+    # NaN fails both comparisons, so finite and > 0 is one test
+    if not (np.all((xs > 0) & (xs < np.inf)) and np.all((ys > 0) & (ys < np.inf))):
+        raise DomainError("log-log fit requires finite, strictly positive inputs")
     return _loglog_fit(xs, ys)
 
 
@@ -227,44 +228,38 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
                     noise_scale, n0, ridge, nested):
     """One repetition: returns sup-errors over the n grid.
 
-    The fits of every n are stacked into one training matrix ``X`` and one
-    weight matrix whose column j holds the weights of fit j (zero outside
-    its rows).  Nested: ``X`` is one pool of max(n_grid) points whose
-    K + lam^2 I is factored once, and fit j solves with L[:n_j, :n_j].
-    Independent (``nested=False``): each n draws and factors its own set.
-    The evaluation points then stream through in tiles of
-    max(1, _BLOCK // rows of X) rows: one tile x X Gram, one GEMM and a
-    running max |error| per n.
+    The training points are drawn as pools, each with its own seed salt:
+    nested, one pool of max(n_grid) points for every n; independent
+    (``nested=False``), one pool of n points per n.  Each pool's
+    K + lam^2 I is factored once and fit j solves with the leading block
+    L[:n_j, :n_j] of its pool's factor.  The pools are stacked into one
+    training matrix ``X`` and the fits into one weight matrix whose column
+    j holds the weights of fit j (zero outside its rows).  The evaluation
+    points then stream through in tiles of max(1, _BLOCK // rows of X)
+    rows: one tile x X Gram, one GEMM and a running max |error| per n.
     """
     kernel = make_kernel(family, s, d=d)
     target = make_synthetic(kernel, d, n0=n0, ridge=ridge, seed=rep_seed)
 
-    if nested:
-        max_n = int(n_grid[-1])
-        X = sample_sphere(d, max_n, [rep_seed, SALT_TRAIN])
+    pools = [((), n_grid)] if nested else [((int(n),), [n]) for n in n_grid]
+    sets = []
+    alpha = np.zeros((sum(int(sizes[-1]) for _, sizes in pools), len(n_grid)))
+    row = j = 0
+    for salt, sizes in pools:
+        size = int(sizes[-1])
+        P = sample_sphere(d, size, [rep_seed, SALT_TRAIN, *salt])
         noise = (
-            np.random.default_rng([rep_seed, SALT_NOISE]).standard_normal(max_n)
+            np.random.default_rng([rep_seed, SALT_NOISE, *salt]).standard_normal(size)
             * noise_scale
         )
-        Y = target(X) + noise
-        L, _ = _ridge_factor(kernel, X, train_lam2)
-        alpha = np.zeros((max_n, len(n_grid)))
-        for j, n in enumerate(n_grid):
-            alpha[:n, j] = cho_solve((L[:n, :n], True), Y[:n])
-    else:
-        sets, weights = [], []
-        for n in n_grid:
-            n = int(n)
-            X = sample_sphere(d, n, [rep_seed, SALT_TRAIN, n])
-            noise = (
-                np.random.default_rng([rep_seed, SALT_NOISE, n]).standard_normal(n)
-                * noise_scale
-            )
-            L, _ = _ridge_factor(kernel, X, train_lam2)
-            sets.append(X)
-            weights.append(cho_solve((L, True), target(X) + noise)[:, None])
-        X = np.vstack(sets)
-        alpha = block_diag(*weights)
+        Y = target(P) + noise
+        L, _ = _ridge_factor(kernel, P, train_lam2)
+        for n in sizes:
+            alpha[row:row + n, j] = cho_solve((L[:n, :n], True), Y[:n])
+            j += 1
+        sets.append(P)
+        row += size
+    X = np.vstack(sets)
 
     # X passed the unit-norm check in _ridge_factor and the anchors theirs when
     # the target was built; the evaluation points are checked once, not per tile

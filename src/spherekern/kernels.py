@@ -10,10 +10,11 @@ Two kernel families are supported for the power-ReLU activations
 
 Both are functions of the inner product ``u = x . x'`` of unit vectors.
 Closed forms are available for ``s in {0, 1, 2, 3}``; deeper networks
-(``l > 2``) are handled by the layer recursion.  Every public evaluation
-validates ``u`` once, on entry (NaN is rejected), then evaluates it in
-cache-sized blocks.  A seeded Monte-Carlo oracle estimates the defining
-Gaussian expectations directly and is used to validate the closed forms.
+(``l > 2``) are handled by the layer recursion.  Every public evaluator,
+``rf_derivative`` included, goes through one path: it validates ``u``
+once, on entry (NaN is rejected), then evaluates it in cache-sized
+blocks.  A seeded Monte-Carlo oracle estimates the defining Gaussian
+expectations directly and is used to validate the closed forms.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,9 @@ from .errors import (
 #: Hard bound for inner products: values in (1, 1 + U_CLAMP_TOL] are treated
 #: as rounding noise and clamped to 1 (same at -1); anything larger is an error.
 U_CLAMP_TOL = 1e-12
+
+#: Largest | |x| - 1 | accepted for a point on the unit sphere.
+_UNIT_NORM_TOL = 1e-8
 
 _SUPPORTED_S = (1, 2, 3)
 
@@ -146,9 +150,16 @@ def rf_closed(s, u):
 
 def rf_derivative(s, u):
     """Derivative ``kappa_s'(u) = (s^2/(2s-1)) * kappa_{s-1}(u)`` for s >= 1."""
-    arr, scalar = _as_ufloat(u)
-    val = _kappa_pair(s, arr)[1]
-    return float(val[0]) if scalar else val
+    if s not in _SUPPORTED_S:
+        raise UnsupportedSmoothnessError(
+            f"no closed form for the derivative at s={s}; supported s in {list(_SUPPORTED_S)}"
+        )
+    val = _evaluate(u, s - 1)
+    scale = s * s / (2.0 * s - 1.0)
+    if isinstance(val, float):
+        return scale * val
+    val *= scale
+    return val
 
 
 def nt_two_layer(s, u):
@@ -230,11 +241,11 @@ def make_kernel(family, s, l=2, d=3, drop_c2=False):
     return DotProductKernel(KernelSpec(family, s, l, d), drop_c2=drop_c2)
 
 
-def _check_unit_rows(points, what="point", tol=1e-8):
+def _check_unit_rows(points, what="point"):
     """``points`` as 2-D rows; DomainError for a row not of norm 1, NaN included."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     norms = np.linalg.norm(points, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_NORM_TOL))
     if bad.size:
         raise DomainError(f"{what} {bad[0]} is not unit-norm: |x| = {norms[bad[0]]:.12f}")
     return points

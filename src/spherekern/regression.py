@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     _check_positive,
 )
-from .kernels import _check_unit_rows, gram
+from .kernels import _check_unit_rows, _cross_gram, gram
 from .serialize import JsonReport, csv_document
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
@@ -108,7 +108,8 @@ class FittedRegressor:
 
     def __init__(self, kernel, X, lam, L, alpha, jitter=0.0):
         self.kernel = kernel
-        self.X = X
+        # checked once here, so that predictions check only their own points
+        self.X = _check_unit_rows(X, "training point")
         self.lam = float(lam)
         self.L = L
         self.alpha = alpha
@@ -194,30 +195,30 @@ def fit(kernel, dataset, lam):
     return FittedRegressor(kernel, dataset.X, lam, L, alpha, jitter)
 
 
-def _test_points(model, x):
+def _test_points(x):
+    """``(points, was_single_point)``: x checked once as rows of unit vectors."""
     arr = np.asarray(x, dtype=float)
     return _check_unit_rows(arr, "test point"), arr.ndim == 1
 
 
 def predict_mean(model, x):
     """Posterior mean at x (scalar for a single point, array for a batch)."""
-    pts, scalar = _test_points(model, x)
+    pts, scalar = _test_points(x)
     if model.n == 0:
         out = np.zeros(pts.shape[0])
     else:
-        k = gram(model.kernel, pts, model.X)
-        out = k @ model.alpha
+        out = _cross_gram(model.kernel, pts, model.X) @ model.alpha
     return float(out[0]) if scalar else out
 
 
 def predict_variance(model, x):
     """Posterior variance at x; independent of Y and clamped into [0, kappa(1)]."""
-    pts, scalar = _test_points(model, x)
+    pts, scalar = _test_points(x)
     kappa_one = model.kernel.kappa_one
     if model.n == 0:
         out = np.full(pts.shape[0], kappa_one)
     else:
-        k = gram(model.kernel, pts, model.X)
+        k = _cross_gram(model.kernel, pts, model.X)
         z = solve_triangular(model.L, k.T, lower=True)
         out = kappa_one - np.sum(z * z, axis=0)
         out = np.clip(out, 0.0, kappa_one)

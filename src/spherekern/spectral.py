@@ -45,6 +45,14 @@ ZERO_EIGENVALUE = 1e-14
 #: power-law remainder (constant fit from the last octave) above.
 TAIL_M_MAX = 400
 
+#: Factor by which tail_sum inflates its fitted power-law remainder.
+TAIL_SAFETY = 1.1
+
+#: Composite quadrature panels: N_GEO geometrically refined panels toward
+#: each endpoint and N_MID uniform panels across [-0.5, 0.5].
+N_GEO = 30
+N_MID = 12
+
 
 def multiplicity(d, i):
     """Number N_{d,i} of degree-i spherical harmonics on S^{d-1} (exact int).
@@ -158,22 +166,22 @@ def _degree_constants(d, M):
     return cfac, at_one, mult
 
 
-def _composite_panel_edges(n_geo, n_mid):
+def _composite_panel_edges():
     """Panel edges on [-1, 1]: geometrically refined near the endpoints."""
     edges = [-1.0]
-    for k in range(n_geo - 1, -1, -1):
+    for k in range(N_GEO - 1, -1, -1):
         edges.append(-1.0 + 0.5 * 2.0 ** (-k))
-    edges.extend(np.linspace(-0.5, 0.5, n_mid + 1)[1:-1])
-    for k in range(n_geo):
+    edges.extend(np.linspace(-0.5, 0.5, N_MID + 1)[1:-1])
+    for k in range(N_GEO):
         edges.append(1.0 - 0.5 * 2.0 ** (-k))
     edges.append(1.0)
     return np.array(edges)
 
 
 @lru_cache(maxsize=8)
-def _quadrature(d, panel_order, n_geo, n_mid):
+def _quadrature(d, panel_order):
     """Read-only composite Gauss-Legendre nodes and weights, spherical weight folded in."""
-    edges = _composite_panel_edges(n_geo, n_mid)
+    edges = _composite_panel_edges()
     x, w = np.polynomial.legendre.leggauss(panel_order)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
@@ -190,17 +198,17 @@ class GegenbauerBasis:
     weight w(t) = (1 - t^2)^{(d-3)/2} folded into the weights, so stored
     weights integrate directly against plain function values.  Panels are
     geometrically refined toward +-1 where the kernels lose smoothness.
-    The per-panel order defaults to max_degree + 8 + d, which integrates
+    The per-panel order is max_degree + 8 + d, which integrates
     polynomials of degree well beyond 2*max_degree + 8 exactly within each
-    panel; with the default 2*n_geo + n_mid = 72 panels the node budget
-    exceeds 64*(max_degree + 8).
+    panel; with 2*N_GEO + N_MID = 72 panels the node budget exceeds
+    64*(max_degree + 8).
 
-    The quadrature is built once per (d, panel order, n_geo, n_mid) and
-    shared: bases with equal parameters hold the same read-only ``nodes``
-    and ``weights`` arrays.  Immutable after construction.
+    The quadrature is built once per (d, panel order) and shared: bases
+    with equal parameters hold the same read-only ``nodes`` and ``weights``
+    arrays.  Immutable after construction.
     """
 
-    def __init__(self, d, max_degree, n_geo=30, n_mid=12, panel_order=None):
+    def __init__(self, d, max_degree):
         if d < 3:
             raise UnsupportedDimensionError(
                 f"spectral operations require d >= 3, got d={d}"
@@ -210,8 +218,7 @@ class GegenbauerBasis:
         self.d = int(d)
         self.alpha = (d - 2) / 2.0
         self.max_degree = int(max_degree)
-        p = panel_order if panel_order is not None else max_degree + 8 + d
-        self.nodes, self.weights = _quadrature(self.d, int(p), int(n_geo), int(n_mid))
+        self.nodes, self.weights = _quadrature(self.d, self.max_degree + 8 + self.d)
 
     def project(self, values, max_degree=None):
         """Projection coefficients b_i = <f, C_i>_w / h_i for i <= max_degree.
@@ -374,31 +381,34 @@ def reconstruct(table, u):
 
 
 @lru_cache(maxsize=16)
-def _cached_full_spectrum(family, s, d, m_max):
+def _cached_full_spectrum(family, s, d):
     kernel = make_kernel(family, s, d=d)
-    return mercer_spectrum(kernel, d, m_max)
+    return mercer_spectrum(kernel, d, TAIL_M_MAX)
 
 
-def tail_sum(family, s, d, M, m_max=TAIL_M_MAX, safety=1.1):
-    """Upper bound on the sup-norm of the degree->M spectral tail.
+def tail_sum(family, s, d, M):
+    """Upper bound on the sup-norm of the degree->M spectral tail, for M < TAIL_M_MAX.
 
     Sums lam_i c_{i,d} C_i(1) = lam_i N_{d,i} Gamma((d-2)/2)/(2 pi^{(d-2)/2})
     — each degree's contribution to kappa(1), which bounds its contribution
-    at any u — numerically for M < i <= m_max, then adds an analytic power-law
-    remainder whose constant is fit from the last computed octave
-    (degree terms decay like i^{-2s} for NT and i^{-2s-2} for RF).
-    The log-log slope of the result vs M approaches -(2s-1) for NT and
-    -(2s+1) for RF.
+    at any u — numerically for M < i <= TAIL_M_MAX = 400, then adds an
+    analytic power-law remainder whose constant is fit from the last
+    computed octave (degree terms decay like i^{-2s} for NT and i^{-2s-2}
+    for RF) and inflated by TAIL_SAFETY = 1.1.  The log-log slope of the
+    result vs M approaches -(2s-1) for NT and -(2s+1) for RF while the
+    spectrum up to TAIL_M_MAX stays above the quadrature noise floor.
     """
-    if M >= m_max:
-        raise ConfigurationError(f"tail_sum requires M < m_max, got M={M}, m_max={m_max}")
-    table = _cached_full_spectrum(family, s, d, m_max)
-    cfac, at_one, _ = _degree_constants(d, m_max)
+    if M >= TAIL_M_MAX:
+        raise ConfigurationError(
+            f"tail_sum requires M < {TAIL_M_MAX}, got M={M}"
+        )
+    table = _cached_full_spectrum(family, s, d)
+    cfac, at_one, _ = _degree_constants(d, TAIL_M_MAX)
     terms = table.eigenvalues * cfac * at_one
     numeric = float(terms[M + 1 :].sum())
     p = 2 * s if family == "nt" else 2 * s + 2
-    octave = float(terms[m_max // 2 + 1 :].sum())
-    remainder = octave / (2.0 ** (p - 1) - 1.0) * safety
+    octave = float(terms[TAIL_M_MAX // 2 + 1 :].sum())
+    remainder = octave / (2.0 ** (p - 1) - 1.0) * TAIL_SAFETY
     return numeric + remainder
 
 

@@ -74,6 +74,15 @@ class TestFitLoglogSlope:
         assert_allclose(slope, 2.0, atol=1e-12)
         assert_allclose(intercept, np.log(3.0), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("axis", ["xs", "ys"])
+    def test_rejects_non_finite(self, axis, bad):
+        """NaN and inf fail the domain check, in either coordinate."""
+        pts = {"xs": [1.0, 2.0, 3.0, 4.0], "ys": [1.0, 2.0, 3.0, 4.0]}
+        pts[axis][2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            fit_loglog_slope(pts["xs"], pts["ys"])
+
     def test_rejects_short_or_nonpositive(self):
         with pytest.raises(ParameterError):
             fit_loglog_slope([1.0, 2.0], [1.0, 2.0])

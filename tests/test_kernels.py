@@ -73,8 +73,10 @@ class TestDerivative:
             assert_allclose(rf_derivative(s, 1.0), s * s / (2.0 * s - 1.0), rtol=1e-15)
 
     def test_requires_positive_power(self):
-        with pytest.raises(UnsupportedSmoothnessError):
-            rf_derivative(0, 0.5)
+        for s in (0, 4):
+            for u in (0.5, np.array([]), np.zeros((2, 3))):
+                with pytest.raises(UnsupportedSmoothnessError):
+                    rf_derivative(s, u)
 
 
 class TestNeuralTangent:
@@ -271,6 +273,24 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(kernels, "_BLOCK", 1 << 40)
         for u, got in zip(inputs, blocked):
             assert _bits(got) == _bits(kernel(u))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_derivative_runs_in_blocks(self, monkeypatch, s):
+        """rf_derivative evaluates at most _BLOCK entries at a time, to the bits
+        of s^2/(2s-1) * kappa_{s-1}(u)."""
+        u = np.random.default_rng(5).uniform(-1.0, 1.0, (2, _BLOCK + 7))
+        sizes = []
+        real = kernels._kappa_pair
+
+        def spy(power, block, slope=True):
+            sizes.append(block.size)
+            return real(power, block, slope)
+
+        monkeypatch.setattr(kernels, "_kappa_pair", spy)
+        got = rf_derivative(s, u)
+        assert len(sizes) == 3 and max(sizes) <= _BLOCK
+        assert _bits(got) == _bits(s * s / (2.0 * s - 1.0) * rf_closed(s - 1, u))
+        assert rf_derivative(s, 0.3) == s * s / (2.0 * s - 1.0) * rf_closed(s - 1, 0.3)
 
     def test_scalar_and_empty_inputs(self, monkeypatch):
         kernel = make_kernel("nt", 2, 3)

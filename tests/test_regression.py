@@ -25,7 +25,7 @@ from spherekern import (
     sample_sphere,
     variance_sum_check,
 )
-from spherekern import regression
+from spherekern import kernels, regression
 from spherekern.regression import _chol_with_jitter
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -246,6 +246,27 @@ class TestPredict:
             var = predict_variance(model, t)
             assert np.all(var <= var_prev + 1e-8)
             var_prev = var
+
+    @pytest.mark.parametrize("predict", [predict_mean, predict_variance])
+    def test_one_unit_check_per_prediction(self, monkeypatch, predict):
+        """Test points are checked once; the training points were checked at fit time."""
+        model = fit(make_kernel("nt", 1), SphericalDataset(sample_sphere(3, 6, 1), np.ones(6)),
+                    1.0)
+        calls = []
+        real = kernels._check_unit_rows
+
+        def counting(points, *args, **kwargs):
+            calls.append(np.shape(points))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_check_unit_rows", counting)
+        monkeypatch.setattr(regression, "_check_unit_rows", counting)
+        predict(model, sample_sphere(3, 4, 2))
+        assert calls == [(4, 3)]
+
+    def test_regressor_checks_its_training_points(self):
+        with pytest.raises(DomainError, match="training point 1"):
+            FittedRegressor(_NT1, np.array([E1, 2.0 * E2]), 1.0, np.eye(2), np.ones(2))
 
     def test_rejects_non_unit_test_point(self):
         model = fit(make_kernel("nt", 1), SphericalDataset(E1[None, :], [1.0]), 1.0)
