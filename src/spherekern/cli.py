@@ -15,7 +15,8 @@ flag, ``true``/``false`` for a switch and a list of numbers for ``u``;
 type is a configuration error.  So is a value out of range, found before
 any work starts: the float parameters lam, lam2, nu, lengthscale and ridge
 must be finite and positive, noise_scale finite and non-negative, and
-degree_min (or its default) no larger than degree_max and max_degree.
+degree_min (or its default) non-negative and no larger than degree_max and
+max_degree.
 
 Only infogain, sample-greedy, error-rate and mig-growth import
 ``regression``, ``experiments`` and ``scipy.linalg``, each at the entry of
@@ -49,6 +50,12 @@ from .spectral import (
 
 _REQUIRED = object()
 
+
+def _default(row, default):
+    """The schema row ``row`` with another default."""
+    return (*row[:2], default, row[3])
+
+
 # Parameter schemas: (name, type, default, help).  A _REQUIRED default means
 # the parameter must come from a flag or config file; type list is a
 # repeatable float flag.  Every subcommand takes its own rows plus _COMMON.
@@ -58,61 +65,41 @@ _COMMON = [
     ("workers", int, None, "worker processes (results are worker-count independent)"),
     ("full_scale", bool, False, "use the paper-scale configuration"),
 ]
+_FAMILY = ("family", str, _REQUIRED, "kernel family: nt or rf")
+_S = ("s", int, _REQUIRED, "activation power (1, 2 or 3)")
+_L = ("l", int, 2, "network depth (>= 2)")
+_D = ("d", int, 3, "sphere ambient dimension (>= 3 for spectra)")
+_MAX_DEGREE = ("max_degree", int, 60, "largest harmonic degree")
+_LAM = ("lam", float, 1.0, "regularization scale lambda")
+_GRID_SIZE = ("grid_size", int, 4096, "candidate grid size")
+# The degree window of a fit or a comparison.
+_WINDOW = [
+    ("parity", str, "all", "degree parity filter: even, odd or all"),
+    ("degree_min", int, None, "lowest window degree, non-negative (default max(9, 2s+3))"),
+    ("degree_max", int, None, "highest window degree (default 59)"),
+]
 _SCHEMAS = {
     "kernel-eval": [
-        ("family", str, _REQUIRED, "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power (1, 2 or 3)"),
-        ("l", int, 2, "network depth (>= 2)"),
+        _FAMILY, _S, _L,
         ("u", list, None, "inner product(s) to evaluate (repeatable flag)"),
         ("pair_file", str, None, "file of point pairs, one 2d-vector row per pair"),
     ],
-    "spectrum": [
-        ("family", str, _REQUIRED, "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power"),
-        ("l", int, 2, "network depth"),
-        ("d", int, 3, "sphere ambient dimension (>= 3)"),
-        ("max_degree", int, 60, "largest harmonic degree"),
-    ],
-    "eigendecay": [
-        ("family", str, _REQUIRED, "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power"),
-        ("l", int, 2, "network depth"),
-        ("d", int, 3, "sphere ambient dimension"),
-        ("max_degree", int, 60, "largest harmonic degree"),
-        ("parity", str, "all", "degree parity filter: even, odd or all"),
-        ("degree_min", int, None, "lower fit degree (default max(9, 2s+3))"),
-        ("degree_max", int, None, "upper fit degree (default 59)"),
-    ],
+    "spectrum": [_FAMILY, _S, _L, _D, _MAX_DEGREE],
+    "eigendecay": [_FAMILY, _S, _L, _D, _MAX_DEGREE, *_WINDOW],
     "matern-compare": [
-        ("family", str, "nt", "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power"),
-        ("d", int, 3, "sphere ambient dimension"),
+        _default(_FAMILY, "nt"), _S, _D,
         ("nu", float, _REQUIRED, "Matern smoothness"),
         ("lengthscale", float, 1.0, "Matern lengthscale"),
-        ("max_degree", int, 60, "largest harmonic degree"),
-        ("parity", str, "all", "degree parity filter"),
-        ("degree_min", int, None, "lower comparison degree"),
-        ("degree_max", int, None, "upper comparison degree"),
+        _MAX_DEGREE, *_WINDOW,
     ],
     "infogain": [
-        ("family", str, _REQUIRED, "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power"),
-        ("d", int, 3, "sphere ambient dimension"),
-        ("n", int, 64, "number of uniform sample points"),
-        ("lam", float, 1.0, "regularization scale lambda"),
+        _FAMILY, _S, _D, ("n", int, 64, "number of uniform sample points"), _LAM,
     ],
     "sample-greedy": [
-        ("family", str, _REQUIRED, "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power"),
-        ("d", int, 3, "sphere ambient dimension"),
-        ("n", int, 64, "number of greedy selections"),
-        ("lam", float, 1.0, "regularization scale lambda"),
-        ("grid_size", int, 4096, "candidate grid size"),
+        _FAMILY, _S, _D, ("n", int, 64, "number of greedy selections"), _LAM, _GRID_SIZE,
     ],
     "error-rate": [
-        ("family", str, _REQUIRED, "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power"),
-        ("d", int, _REQUIRED, "sphere ambient dimension (>= 2)"),
+        _FAMILY, _S, _default(_D, _REQUIRED),
         ("reps", int, 5, "number of repetitions"),
         ("max_exp", int, 11, "train sizes n = 2^1 .. 2^max_exp"),
         ("eval_sample", int, 10_000, "sup-error evaluation sample size"),
@@ -123,11 +110,7 @@ _SCHEMAS = {
         ("ridge", float, 0.01, "ground-truth construction ridge"),
     ],
     "mig-growth": [
-        ("family", str, _REQUIRED, "kernel family: nt or rf"),
-        ("s", int, _REQUIRED, "activation power"),
-        ("d", int, 3, "sphere ambient dimension"),
-        ("lam", float, 1.0, "regularization scale lambda"),
-        ("grid_size", int, 4096, "candidate grid size"),
+        _FAMILY, _S, _D, _LAM, _GRID_SIZE,
         ("max_exp", int, 10, "sample sizes n = 2^1 .. 2^max_exp"),
     ],
 }
@@ -251,6 +234,8 @@ def _check_values(cfg):
             raise ConfigurationError(f"{pname} must be finite and {sign}, got {value!r}")
     if "degree_min" in cfg:
         lo, hi = _degree_range(cfg)
+        if lo < 0:
+            raise ConfigurationError(f"degree_min {lo} is below 0")
         for name, bound in (("degree_max", hi), ("max_degree", cfg["max_degree"])):
             if lo > bound:
                 raise ConfigurationError(f"degree_min {lo} is above {name} {bound}")
@@ -280,8 +265,18 @@ def _u_values(cfg):
     return np.sum(x * y, axis=1)
 
 
+def _kernel(cfg):
+    """The configured kernel, from whichever of family, s, l and d the subcommand has."""
+    return make_kernel(**{k: cfg[k] for k in ("family", "s", "l", "d") if k in cfg})
+
+
+def _spectrum(cfg):
+    """The Mercer spectrum of the configured kernel up to max_degree."""
+    return mercer_spectrum(_kernel(cfg), cfg["d"], cfg["max_degree"])
+
+
 def cmd_kernel_eval(cfg):
-    kernel = make_kernel(cfg["family"], cfg["s"], l=cfg["l"])
+    kernel = _kernel(cfg)
     u = _u_values(cfg)
     values = np.atleast_1d(kernel(u))
     csv_text = csv_document(["u", "value"], zip(u, values))
@@ -290,8 +285,7 @@ def cmd_kernel_eval(cfg):
 
 
 def cmd_spectrum(cfg):
-    kernel = make_kernel(cfg["family"], cfg["s"], l=cfg["l"], d=cfg["d"])
-    table = mercer_spectrum(kernel, cfg["d"], cfg["max_degree"])
+    table = _spectrum(cfg)
     return table.to_csv(), lambda: table.to_json(config=cfg)
 
 
@@ -303,8 +297,7 @@ def _degree_range(cfg):
 
 
 def cmd_eigendecay(cfg):
-    kernel = make_kernel(cfg["family"], cfg["s"], l=cfg["l"], d=cfg["d"])
-    table = mercer_spectrum(kernel, cfg["d"], cfg["max_degree"])
+    table = _spectrum(cfg)
     lo, hi = _degree_range(cfg)
     slope, r2 = eigendecay_fit(table, parity=cfg["parity"], degree_range=(lo, hi))
     csv_text = csv_document(
@@ -320,8 +313,7 @@ def cmd_eigendecay(cfg):
 
 
 def cmd_matern_compare(cfg):
-    kernel = make_kernel(cfg["family"], cfg["s"], d=cfg["d"])
-    table = mercer_spectrum(kernel, cfg["d"], cfg["max_degree"])
+    table = _spectrum(cfg)
     matern = matern_spectrum(
         MaternSpec(nu=cfg["nu"], d=cfg["d"], lengthscale=cfg["lengthscale"]),
         cfg["max_degree"],
@@ -347,10 +339,9 @@ def cmd_matern_compare(cfg):
 def cmd_infogain(cfg):
     from .regression import InfoGainReport, _infogain_summary, sample_sphere
 
-    kernel = make_kernel(cfg["family"], cfg["s"], d=cfg["d"])
     points = sample_sphere(cfg["d"], cfg["n"], cfg["seed"])
     lam = cfg["lam"]
-    info, eff, lhs, rhs = _infogain_summary(kernel, points, lam)
+    info, eff, lhs, rhs = _infogain_summary(_kernel(cfg), points, lam)
     report = InfoGainReport(
         n=cfg["n"],
         info_gain=info,
@@ -366,18 +357,17 @@ def cmd_sample_greedy(cfg):
     from .experiments import SALT_GREEDY_GRID
     from .regression import greedy_max_variance, sample_sphere
 
-    kernel = make_kernel(cfg["family"], cfg["s"], d=cfg["d"])
     grid = sample_sphere(cfg["d"], cfg["grid_size"], [cfg["seed"], SALT_GREEDY_GRID])
-    trace = greedy_max_variance(kernel, grid, cfg["n"], cfg["lam"])
+    trace = greedy_max_variance(_kernel(cfg), grid, cfg["n"], cfg["lam"])
     return trace.to_csv(), lambda: trace.to_json(config=cfg)
 
 
 def cmd_error_rate(cfg):
-    from .experiments import error_rate_experiment
+    from .experiments import _grid, error_rate_experiment
 
     report = error_rate_experiment(
         cfg["family"], cfg["s"], cfg["d"],
-        n_grid=2 ** np.arange(1, cfg["max_exp"] + 1),
+        n_grid=_grid(None, cfg["max_exp"])[0],
         repetitions=cfg["reps"],
         master_seed=cfg["seed"],
         eval_sample=cfg["eval_sample"],
@@ -392,11 +382,11 @@ def cmd_error_rate(cfg):
 
 
 def cmd_mig_growth(cfg):
-    from .experiments import mig_growth_experiment
+    from .experiments import _grid, mig_growth_experiment
 
     report = mig_growth_experiment(
         cfg["family"], cfg["s"], cfg["d"],
-        n_grid=2 ** np.arange(1, cfg["max_exp"] + 1),
+        n_grid=_grid(None, cfg["max_exp"])[0],
         lam=cfg["lam"],
         candidate_grid_size=cfg["grid_size"],
         seed=cfg["seed"],

@@ -216,12 +216,20 @@ class ErrorRateReport(JsonReport):
         return csv_document(["n", "mean_sup_error", "std_sup_error"], rows)
 
 
-def _upper_half(n_grid):
-    """Slice selecting the asymptotic (upper) half of the grid, min 3 points."""
+def _grid(n_grid, max_exp):
+    """The n grid as int64 (default 2^1 .. 2^max_exp) and the slice of its upper half.
+
+    The upper half, at least 3 points, is the asymptotic part that slope fits use.
+    """
+    if n_grid is None:
+        n_grid = 2 ** np.arange(1, max_exp + 1)
+    n_grid = np.asarray(n_grid, dtype=np.int64)
+    if np.any(np.diff(n_grid) <= 0):
+        raise ParameterError("n_grid must be strictly increasing")
     k = len(n_grid)
     if k < 3:
         raise ParameterError(f"n_grid needs >= 3 entries for a slope fit, got {k}")
-    return slice(min(k // 2, k - 3), None)
+    return n_grid, slice(min(k // 2, k - 3), None)
 
 
 def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
@@ -297,12 +305,7 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
     A repetition that fails numerically is excluded and recorded; if 20%
     or more fail, the whole experiment errors out.
     """
-    if n_grid is None:
-        n_grid = 2 ** np.arange(1, 12)
-    n_grid = np.asarray(n_grid, dtype=np.int64)
-    if np.any(np.diff(n_grid) <= 0):
-        raise ParameterError("n_grid must be strictly increasing")
-    half = _upper_half(n_grid)
+    n_grid, half = _grid(n_grid, 11)
     if repetitions < 1:
         raise ParameterError("repetitions must be >= 1")
     if eval_sample < 1 or n0 < 1:
@@ -381,12 +384,7 @@ def mig_growth_experiment(family, s, d, n_grid=None, lam=1.0,
     grid supplies every prefix; the growth exponent is fit over the upper
     half of the grid and reported next to the theoretical value.
     """
-    if n_grid is None:
-        n_grid = 2 ** np.arange(1, 11)
-    n_grid = np.asarray(n_grid, dtype=np.int64)
-    if np.any(np.diff(n_grid) <= 0):
-        raise ParameterError("n_grid must be strictly increasing")
-    half = _upper_half(n_grid)
+    n_grid, half = _grid(n_grid, 10)
     max_n = int(n_grid[-1])
     if max_n > candidate_grid_size:
         raise ParameterError(

@@ -142,26 +142,26 @@ def addition_constant(d, i):
     )
 
 
+def _exact_table(f, d, M):
+    """``[f(d, i) for i = 0..M]`` as int64; a ParameterError if a value does not fit."""
+    try:
+        return np.array([f(d, i) for i in range(M + 1)], dtype=np.int64)
+    except OverflowError:
+        raise ParameterError(
+            f"{f.__name__} at d={d} up to degree {M} exceeds the int64 range"
+        ) from None
+
+
 def _degree_constants(d, M):
     """``(c_{i,d}, C_i(1), N_{d,i})`` for i = 0..M as arrays, d >= 3.
 
-    C_i(1) = binomial(i + d - 3, i) and N_{d,i} = (2i + d - 2) C_i(1) / (d - 2)
-    are computed on exact Python integers and returned as int64 (a
-    ParameterError if they do not fit); c_{i,d} is :func:`addition_constant`,
-    bit for bit.
+    C_i(1) and N_{d,i} are the exact :func:`gegenbauer_at_one` and
+    :func:`multiplicity` as int64 (a ParameterError if they do not fit);
+    c_{i,d} is :func:`addition_constant`, bit for bit.
     """
-    d = int(d)  # Python ints below, even for a numpy d: no silent wraparound
-    i = np.arange(M + 1).astype(object)
-    at_one = np.ones(M + 1, dtype=object)
-    for k in range(1, d - 2):
-        at_one = at_one * (i + k) // k  # binomial(i + k, k), exact at every step
-    mult = (2 * i + d - 2) * at_one // (d - 2)
-    try:
-        at_one, mult = at_one.astype(np.int64), mult.astype(np.int64)
-    except OverflowError:
-        raise ParameterError(
-            f"multiplicities at d={d} up to degree {M} exceed the int64 range"
-        ) from None
+    d = int(d)  # Python floats in cfac, even for a numpy d
+    at_one = _exact_table(gegenbauer_at_one, d, M)
+    mult = _exact_table(multiplicity, d, M)
     cfac = mult * gamma((d - 2) / 2.0) / (2.0 * pi ** ((d - 2) / 2.0) * at_one)
     return cfac, at_one, mult
 
@@ -387,7 +387,7 @@ def _cached_full_spectrum(family, s, d):
 
 
 def tail_sum(family, s, d, M):
-    """Upper bound on the sup-norm of the degree->M spectral tail, for M < TAIL_M_MAX.
+    """Upper bound on the sup-norm of the degree->M spectral tail, for 0 <= M < TAIL_M_MAX.
 
     Sums lam_i c_{i,d} C_i(1) = lam_i N_{d,i} Gamma((d-2)/2)/(2 pi^{(d-2)/2})
     — each degree's contribution to kappa(1), which bounds its contribution
@@ -397,11 +397,10 @@ def tail_sum(family, s, d, M):
     for RF) and inflated by TAIL_SAFETY = 1.1.  The log-log slope of the
     result vs M approaches -(2s-1) for NT and -(2s+1) for RF while the
     spectrum up to TAIL_M_MAX stays above the quadrature noise floor.
+    Any other M, a non-integer one included, is a ParameterError.
     """
-    if M >= TAIL_M_MAX:
-        raise ConfigurationError(
-            f"tail_sum requires M < {TAIL_M_MAX}, got M={M}"
-        )
+    if not (isinstance(M, (int, np.integer)) and 0 <= M < TAIL_M_MAX):
+        raise ParameterError(f"tail_sum requires an integer 0 <= M < {TAIL_M_MAX}, got {M!r}")
     table = _cached_full_spectrum(family, s, d)
     cfac, at_one, _ = _degree_constants(d, TAIL_M_MAX)
     terms = table.eigenvalues * cfac * at_one
@@ -440,9 +439,8 @@ def matern_spectrum(spec, M):
     i = np.arange(M + 1, dtype=float)
     shift = 2.0 * spec.nu / (spec.lengthscale * spec.lengthscale)
     lam = (shift + i * (i + spec.d - 2.0)) ** (-(spec.nu + (spec.d - 1.0) / 2.0))
-    mult = np.array([multiplicity(spec.d, j) for j in range(M + 1)], dtype=np.int64)
     return SpectrumTable(
-        d=spec.d, eigenvalues=lam, multiplicities=mult,
+        d=spec.d, eigenvalues=lam, multiplicities=_exact_table(multiplicity, spec.d, M),
         provenance="analytic-Matérn", n_clamped=0,
     )
 
@@ -499,14 +497,18 @@ def _loglog_fit(x, y):
     return float(slope), float(intercept), r2
 
 
-def _parity_mask(degrees, parity):
-    if parity == "even":
-        return degrees % 2 == 0
-    if parity == "odd":
-        return degrees % 2 == 1
-    if parity == "all":
-        return np.ones_like(degrees, dtype=bool)
-    raise ParameterError(f"parity must be 'even', 'odd' or 'all', got {parity!r}")
+def _window(max_degree, degree_range, parity):
+    """Degrees lo..min(hi, max_degree) of parity 'even', 'odd' or 'all', as an index array.
+
+    A negative lo is a ParameterError: it would index from the end of a table.
+    """
+    lo, hi = degree_range
+    if lo < 0:
+        raise ParameterError(f"degree range must start at 0 or above, got {lo}")
+    if parity not in ("even", "odd", "all"):
+        raise ParameterError(f"parity must be 'even', 'odd' or 'all', got {parity!r}")
+    deg = np.arange(lo, min(hi, max_degree) + 1)
+    return deg if parity == "all" else deg[deg % 2 == (parity == "odd")]
 
 
 def default_fit_range(s=None):
@@ -516,44 +518,44 @@ def default_fit_range(s=None):
 
 
 def eigendecay_fit(table, parity="all", degree_range=None, s=None):
-    """Fit the power-law decay of log lam_i vs log i on a parity-filtered range.
+    """Fit the power-law decay of log lam_i vs log i on a degree window.
 
-    Returns (slope, r_squared).  Degrees with lam_i <= 1e-14 are discarded
-    as numerically zero (suppressed parity); fewer than 5 usable degrees
-    raises a fit error naming the count.
+    The window holds the degrees lo..hi of ``degree_range`` (default
+    :func:`default_fit_range`) of the given parity, up to the table's max
+    degree, less degree 0 and the degrees with lam_i <= 1e-14, which are
+    numerically zero (suppressed parity).  Returns (slope, r_squared).  A
+    negative lo is a ParameterError; fewer than 5 usable degrees raises a
+    fit error naming the count.
     """
     lo, hi = default_fit_range(s) if degree_range is None else degree_range
-    deg = table.degrees
-    mask = (deg >= max(lo, 1)) & (deg <= hi)
-    mask &= _parity_mask(deg, parity)
-    mask &= table.eigenvalues > ZERO_EIGENVALUE
-    n_usable = int(mask.sum())
-    if n_usable < 5:
+    deg = _window(table.max_degree, (lo, hi), parity)
+    deg = deg[(deg > 0) & (table.eigenvalues[deg] > ZERO_EIGENVALUE)]
+    if deg.size < 5:
         raise FitError(
-            f"only {n_usable} usable degrees in [{lo}, {hi}] with parity={parity}; "
+            f"only {deg.size} usable degrees in [{lo}, {hi}] with parity={parity}; "
             "need at least 5"
         )
-    slope, _, r2 = _loglog_fit(deg[mask], table.eigenvalues[mask])
+    slope, _, r2 = _loglog_fit(deg, table.eigenvalues[deg])
     return slope, r2
 
 
 def rkhs_equivalence_ratio(numerator, denominator, degree_range, parity="all"):
-    """Extremes of lam_i^num / lam_i^den over a parity-filtered degree range.
+    """Extremes of lam_i^num / lam_i^den over the degree window of both tables.
 
-    Both extremes bounded away from 0 and infinity witness RKHS
-    equivalence; a bounded max with vanishing min witnesses one-sided
-    containment (the opposite-parity case).
+    The window holds the degrees lo..hi of ``degree_range`` of the given
+    parity, up to the smaller max degree; a negative lo or an empty window
+    is a ParameterError.  Both extremes bounded away from 0 and infinity
+    witness RKHS equivalence; a bounded max with vanishing min witnesses
+    one-sided containment (the opposite-parity case).
     """
     if numerator.d != denominator.d:
         raise ConfigurationError(
             f"dimension mismatch: {numerator.d} vs {denominator.d}"
         )
-    lo, hi = degree_range
-    hi = min(hi, numerator.max_degree, denominator.max_degree)
-    deg = np.arange(lo, hi + 1)
-    deg = deg[_parity_mask(deg, parity)]
+    max_degree = min(numerator.max_degree, denominator.max_degree)
+    deg = _window(max_degree, degree_range, parity)
     if deg.size == 0:
-        raise ParameterError(f"empty degree range [{lo}, {hi}] after parity filter")
+        raise ParameterError(f"empty degree window {degree_range} with parity={parity}")
     den = denominator.eigenvalues[deg]
     if np.any(den <= 0.0):
         bad = int(deg[np.argmin(den)])

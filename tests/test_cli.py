@@ -101,6 +101,10 @@ class TestExitCodes:
          "degree_min 9 is above degree_max 5"),
         (["matern-compare", "--s", "1", "--nu", "1.5", "--degree-min", "61",
           "--degree-max", "80"], "degree_min 61 is above max_degree 60"),
+        (["matern-compare", "--s", "1", "--nu", "1.5", "--degree-min", "-3"],
+         "degree_min -3 is below 0"),
+        (["eigendecay", "--family", "nt", "--s", "1", "--degree-min", "-3"],
+         "degree_min -3 is below 0"),
     ])
     def test_out_of_range_value_is_two_before_any_work(self, argv, message, monkeypatch,
                                                        capsys):

@@ -250,6 +250,8 @@ class TestDegreeConstants:
         for d in (12, np.int64(12)):
             with pytest.raises(ParameterError, match="int64"):
                 _degree_constants(d, 400)
+        with pytest.raises(ParameterError, match="int64"):
+            matern_spectrum(MaternSpec(1.5, 40), 400)
 
 
 class TestMercerSpectrum:
@@ -440,6 +442,15 @@ class TestTailSum:
         with pytest.raises(ConfigurationError):
             tail_sum("nt", 1, 3, 400)
 
+    @pytest.mark.parametrize("M", [-3, -1, 2.5, "8"])
+    def test_rejects_negative_or_non_integer_m(self, M):
+        """A negative M would sum only the last terms; 2.5 is not a degree."""
+        with pytest.raises(ParameterError, match="integer"):
+            tail_sum("nt", 1, 3, M)
+
+    def test_accepts_numpy_integer_m(self):
+        assert tail_sum("nt", 1, 3, np.int64(16)) == tail_sum("nt", 1, 3, 16)
+
 
 class TestMaternSpectrum:
     def test_pinned_values(self):
@@ -565,6 +576,13 @@ class TestRkhsEquivalence:
     def test_rejects_zero_denominator(self, nt1_table, matern_table):
         with pytest.raises(DomainError, match="degree"):
             rkhs_equivalence_ratio(matern_table, nt1_table, (5, 59), parity="odd")
+
+    def test_negative_window_start_is_an_error(self, nt1_table, matern_table):
+        """A negative lo would index from the end of the tables (degrees 58-60 at -3)."""
+        with pytest.raises(ParameterError, match="-3"):
+            rkhs_equivalence_ratio(nt1_table, matern_table, (-3, 10))
+        with pytest.raises(ParameterError, match="-3"):
+            eigendecay_fit(nt1_table, degree_range=(-3, 30))
 
 
 class TestSerialization:
