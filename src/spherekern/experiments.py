@@ -145,14 +145,14 @@ def make_synthetic(kernel, d, n0=100, ridge=0.01, seed=0, range_sample=10_000,
     K = gram(kernel, anchors)
     if anchor_values is None:
         z = np.random.default_rng([seed, SALT_ANCHOR_VALUES]).standard_normal(n0)
-        L_prior, _ = _chol_with_jitter(K)
+        L_prior, _ = _chol_with_jitter(K.copy)
         y_hat = L_prior @ z
     else:
         y_hat = np.asarray(anchor_values, dtype=float)
         if y_hat.shape != (n0,):
             raise ParameterError(f"anchor_values must have shape ({n0},)")
 
-    L, _ = _chol_with_jitter(K + ridge * np.eye(n0))
+    L, _ = _chol_with_jitter(lambda: K + ridge * np.eye(n0))
     weights = cho_solve((L, True), y_hat)
     norm_sq = float(weights @ (K @ weights))
     cap = float(y_hat @ y_hat) / ridge
@@ -265,6 +265,7 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
         for n in sizes:
             alpha[row:row + n, j] = cho_solve((L[:n, :n], True), Y[:n])
             j += 1
+        del L  # before the next pool's Gram and the evaluation stream
         sets.append(P)
         row += size
     X = np.vstack(sets)

@@ -15,6 +15,12 @@ Closed forms are available for ``s in {0, 1, 2, 3}``; deeper networks
 once, on entry (NaN is rejected), then evaluates it in cache-sized
 blocks.  A seeded Monte-Carlo oracle estimates the defining Gaussian
 expectations directly and is used to validate the closed forms.
+
+A Gram matrix takes one n x n buffer: the inner products ``X @ X.T`` are
+symmetrized in place in row blocks and the kernel writes its values back
+into the same buffer (``DotProductKernel.__call__(u, out=u)``), which the
+regression code then shifts and factors in place.  Only the effective
+dimension of ``infogain`` needs a second n x n array, for L^{-1}.
 """
 
 from dataclasses import dataclass
@@ -42,14 +48,21 @@ _SUPPORTED_S = (1, 2, 3)
 _BLOCK = 1 << 15
 
 
-def _as_ufloat(u):
+def _as_ufloat(u, out=None):
     """Validate and clamp an inner-product argument.
 
     Returns (array, was_scalar), a scalar as a 1-element array.  Raises
     DomainError if any entry is NaN or lies outside [-1 - U_CLAMP_TOL,
-    1 + U_CLAMP_TOL].  Only clamping copies, so never write into the array.
+    1 + U_CLAMP_TOL].  Only clamping copies, into ``out`` when it is given,
+    so never write into the array unless it is ``out``.
     """
     arr = np.asarray(u, dtype=float)
+    if out is not None and not (
+        out.shape == arr.shape and out.dtype == float and out.flags.c_contiguous
+    ):
+        raise ConfigurationError(
+            f"out must be a C-contiguous float array of shape {arr.shape}"
+        )
     hi, lo = arr.max(initial=-1.0), arr.min(initial=1.0)  # both NaN if one entry is
     if np.isnan(hi):
         raise DomainError("inner product is NaN")
@@ -58,7 +71,7 @@ def _as_ufloat(u):
         raise DomainError(
             f"inner product outside [-1, 1] by {excess:.3e} (tolerance {U_CLAMP_TOL:.0e})"
         )
-    clamped = np.clip(arr, -1.0, 1.0) if excess > 0.0 else arr
+    clamped = np.clip(arr, -1.0, 1.0, out=out) if excess > 0.0 else arr
     return np.atleast_1d(clamped), arr.ndim == 0
 
 
@@ -109,23 +122,26 @@ def _layers(u, s, l, nt, c2):
     return val
 
 
-def _evaluate(u, s, l=2, nt=False, drop_c2=False):
+def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
     """Validate ``u`` once, then run the layer recursion on it block by block.
 
     The recursion is elementwise, so evaluating the flattened ``u`` in blocks
     of ``_BLOCK`` entries gives the same bits as one pass while each block's
-    temporaries stay in cache.
+    temporaries stay in cache.  A block is read in full before its values are
+    written, so ``out`` (returned when given) may be ``u`` itself.
     """
     if l < 2:
         raise ConfigurationError(f"depth l must be >= 2, got {l}")
-    arr, scalar = _as_ufloat(u)
+    arr, scalar = _as_ufloat(u, out)
     c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
     flat = arr.ravel()
-    out = np.empty(flat.size)
+    res = np.empty(flat.size) if out is None else out.reshape(-1)
     # at least one block, so that an empty u still has s checked
     for lo in range(0, flat.size or 1, _BLOCK):
-        out[lo:lo + _BLOCK] = _layers(flat[lo:lo + _BLOCK], s, l, nt, c2)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+        res[lo:lo + _BLOCK] = _layers(flat[lo:lo + _BLOCK], s, l, nt, c2)
+    if out is not None:
+        return out
+    return float(res[0]) if scalar else res.reshape(arr.shape)
 
 
 def double_factorial_odd(s):
@@ -224,9 +240,11 @@ class DotProductKernel:
         self.drop_c2 = bool(drop_c2)
         self.kappa_one = float(self(1.0))
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
+        """kappa(u); with ``out`` (a C-contiguous float array of u's shape,
+        possibly u itself) the values are written into it and it is returned."""
         spec = self.spec
-        return _evaluate(u, spec.s, spec.l, spec.family == "nt", self.drop_c2)
+        return _evaluate(u, spec.s, spec.l, spec.family == "nt", self.drop_c2, out)
 
     def __repr__(self):
         extra = ", drop_c2=True" if self.drop_c2 else ""
@@ -257,20 +275,40 @@ def gram(kernel, points, points2=None):
     With ``points2=None`` returns the symmetric Gram matrix of ``points``;
     inner products are symmetrized and clipped to [-1, 1] before kernel
     evaluation so that rounding in the matrix product cannot push them
-    outside the kernel domain.
+    outside the kernel domain.  The kernel (a :class:`DotProductKernel`)
+    writes into the inner-product array, so the result is the only
+    n x m array made.
     """
     X = _check_unit_rows(points)
-    if points2 is None:
-        U = X @ X.T
-        U = (U + U.T) / 2.0
-        return kernel(np.clip(U, -1.0, 1.0, out=U))
-    return _cross_gram(kernel, X, _check_unit_rows(points2))
+    if points2 is not None:
+        return _cross_gram(kernel, X, _check_unit_rows(points2))
+    U = X @ X.T
+    _symmetrize(U)
+    return kernel(np.clip(U, -1.0, 1.0, out=U), out=U)
+
+
+def _symmetrize(U):
+    """Overwrite square U with ``(U + U.T) / 2``, to its bits, one row block at a time.
+
+    Row block ``[lo, hi)`` is averaged with its column block against every
+    column from ``lo`` on and written to both; later blocks read only
+    entries below and right of it, which it leaves alone.
+    """
+    n = U.shape[0]
+    rows = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, rows):
+        hi = lo + rows
+        avg = U[lo:hi, lo:] + U[lo:, lo:hi].T
+        avg /= 2.0
+        U[lo:hi, lo:] = avg
+        U[lo:, lo:hi] = avg.T
 
 
 def _cross_gram(kernel, X, Y):
-    """``kappa(X @ Y.T)`` for 2-D arrays of rows already checked to be unit vectors."""
+    """``kappa(X @ Y.T)`` for 2-D arrays of rows already checked to be unit vectors;
+    the kernel values overwrite the inner products."""
     U = X @ Y.T
-    return kernel(np.clip(U, -1.0, 1.0, out=U))
+    return kernel(np.clip(U, -1.0, 1.0, out=U), out=U)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,16 @@ data collection over a candidate grid.
 All log-determinants come from Cholesky factors (sum of log-diagonals,
 doubled), never from raw determinants; information gain, effective
 dimension and the variance-sum bound of one point set share a single
-factor.  Greedy selection grows the inverse of the factor one row at a
-time and evaluates the kernel only on the rows of the points it selects,
-so an n-step run over an m-point grid costs n*m kernel evaluations,
-O(n^2 m) arithmetic and O(n m) memory; it never forms the m x m grid Gram.
+factor.  A point set's K + lam^2 I takes one n x n buffer from inner
+products to factor: ``kernels.gram`` writes the kernel values over the
+inner products, lam^2 goes onto that array's diagonal, and the lower
+factor overwrites it.  Only the effective dimension needs a second n x n
+array, the one L^{-1} is solved into.
+
+Greedy selection grows the inverse of the factor one row at a time and
+evaluates the kernel only on the rows of the points it selects, so an
+n-step run over an m-point grid costs n*m kernel evaluations, O(n^2 m)
+arithmetic and O(n m) memory; it never forms the m x m grid Gram.
 """
 
 from dataclasses import dataclass
@@ -149,19 +155,27 @@ def sample_sphere(d, n, seed):
     return X / norms
 
 
-def _chol_with_jitter(A):
-    """Lower Cholesky factor of A, escalating diagonal jitter on failure."""
+def _chol_with_jitter(build):
+    """``(L, jitter)``: lower Cholesky factor of ``build()``, escalating diagonal
+    jitter on failure.
+
+    ``build`` returns a fresh, exactly symmetric, C-ordered matrix.  It is
+    factored in place through its Fortran-ordered transpose, which holds the
+    same numbers, so L shares its buffer.  A failed factorization leaves the
+    buffer overwritten, so each later rung calls ``build`` again.
+    """
+    A = build()
     n = A.shape[0]
+    diag = A.diagonal().copy()
     scale = float(np.trace(A)) / max(n, 1)
     for level in JITTER_LADDER:
-        # the first rung factors A itself; A + 0*I would only copy it
-        shifted = A if level == 0.0 else A + (level * scale) * np.eye(n)
+        if level > 0.0:  # the failed rung before this one overwrote A
+            A = build()
+            A.flat[:: n + 1] += level * scale
         try:
-            L = cholesky(shifted, lower=True)
-            return L, level * scale
+            return cholesky(A.T, lower=True, overwrite_a=True), level * scale
         except np.linalg.LinAlgError:
             continue
-    diag = np.diag(A)
     ratio = float(np.max(diag) / np.min(diag))
     raise IllConditionedGramError(
         f"Cholesky failed for {n}x{n} system even with jitter "
@@ -172,12 +186,15 @@ def _chol_with_jitter(A):
 def _ridge_factor(kernel, points, lam2):
     """``(L, jitter)``: lower Cholesky factor of gram(points) + lam2 I.
 
-    lam2 goes onto the Gram's own diagonal, so the only n x n arrays made
-    are the Gram and its factor.
+    lam2 goes onto the Gram's own diagonal and the factor overwrites it, so
+    the Gram buffer is the only n x n array made.
     """
-    A = gram(kernel, points)
-    A.flat[:: A.shape[0] + 1] += lam2
-    return _chol_with_jitter(A)
+    def build():
+        A = gram(kernel, points)
+        A.flat[:: A.shape[0] + 1] += lam2
+        return A
+
+    return _chol_with_jitter(build)
 
 
 def fit(kernel, dataset, lam):
@@ -250,8 +267,9 @@ def _infogain_summary(kernel, points, lam, effective_dim=True):
     half_logdet = float(np.sum(np.log(diag)) - n * log(lam))
     eff = None
     if effective_dim:
-        L_inv = solve_triangular(L, np.eye(n), lower=True)
-        eff = float(n - lam2 * np.sum(L_inv * L_inv))
+        # the identity is solved and squared in place: a second n x n buffer
+        L_inv = solve_triangular(L, np.eye(n, order="F"), lower=True, overwrite_b=True)
+        eff = float(n - lam2 * np.sum(np.square(L_inv, out=L_inv)))
     sum_variance = float(np.sum(diag * diag) - n * lam2)
     bound_rhs = (2.0 / log(1.0 + 1.0 / lam2)) * (2.0 * half_logdet)
     return max(half_logdet, 0.0), eff, sum_variance, bound_rhs

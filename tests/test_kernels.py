@@ -313,6 +313,48 @@ class TestBlockedEvaluation:
             make_kernel("rf", 1)(u)
 
 
+class TestInPlaceEvaluation:
+    """``kernel(u, out=u)`` gives the bits of the allocating call."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(8)
+        several_blocks = rng.uniform(-1.0, 1.0, (5, _BLOCK // 2 + 7))
+        clamped = several_blocks.copy()
+        clamped[0, :4] = (1.0 + 9e-13, 1.0 + 1e-13, -1.0 - 9e-13, np.nextafter(1.0, 2.0))
+        clamped[-1, -1] = 1.0 + 5e-13
+        return several_blocks, clamped
+
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_bitwise_equal_to_allocating_call(self, family, s, l):
+        kernel = make_kernel(family, s, l)
+        for u in self._inputs():
+            expected = kernel(u)
+            other, before = np.empty_like(u), u.copy()
+            assert kernel(u, out=other) is other
+            assert _bits(other) == _bits(expected) and _bits(u) == _bits(before)
+            assert kernel(u, out=u) is u
+            assert _bits(u) == _bits(expected)
+
+    def test_rejects_an_out_it_cannot_fill(self):
+        kernel = make_kernel("nt", 1)
+        u = np.zeros((4, 6))
+        for out in (np.empty((6, 4)), np.empty((4, 6), dtype=np.float32),
+                    np.empty((6, 4)).T, np.empty((4, 12))[:, ::2]):
+            with pytest.raises(ConfigurationError, match="out must be"):
+                kernel(u, out=out)
+
+    @pytest.mark.parametrize("n", [1, 7, 300, 1000])
+    def test_gram_symmetrization_is_bitwise(self, n):
+        """The blockwise in-place average is (U + U.T) / 2 to the bit."""
+        U = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
+        expected = (U + U.T) / 2.0
+        kernels._symmetrize(U)
+        assert _bits(U) == _bits(expected)
+
+
 class TestMonteCarlo:
     def test_matches_closed_forms(self):
         """MC estimates land within 4 standard errors of the closed forms."""

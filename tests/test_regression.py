@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from spherekern import (
@@ -181,7 +182,89 @@ class TestFit:
     def test_indefinite_system_raises(self):
         """A matrix no ladder jitter can make positive definite fails cleanly."""
         with pytest.raises(IllConditionedGramError, match="diagonal ratio"):
-            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _chol_with_jitter(lambda: np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def _copying_ladder(A):
+    """The jitter ladder that shifts a copy of A on each rung (the reference)."""
+    n = A.shape[0]
+    scale = float(np.trace(A)) / max(n, 1)
+    for level in regression.JITTER_LADDER:
+        shifted = A if level == 0.0 else A + (level * scale) * np.eye(n)
+        try:
+            return scipy.linalg.cholesky(shifted, lower=True), level * scale
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("the reference ladder failed")
+
+
+class TestJitterLadder:
+    """One ladder factors a fresh build() in place on each rung."""
+
+    @staticmethod
+    def _slightly_indefinite(n=40, seed=4):
+        """Exactly symmetric, smallest eigenvalue -1e-11 * trace/n: rung 0 fails."""
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        eig = np.linspace(1.0, 2.0, n)
+        eig[0] = -1e-11 * eig.mean()
+        A = (q * eig) @ q.T
+        return (A + A.T) / 2.0
+
+    def test_matches_the_copying_ladder_bitwise(self):
+        A = self._slightly_indefinite()
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cholesky(A, lower=True)
+        L_ref, jitter_ref = _copying_ladder(A)
+        L, jitter = _chol_with_jitter(A.copy)
+        assert jitter == jitter_ref > 0.0
+        assert L.tobytes(order="A") == L_ref.tobytes(order="A")
+        assert L.flags.f_contiguous and L_ref.flags.f_contiguous
+
+    def test_builds_once_per_rung(self):
+        builds = []
+
+        def build(A):
+            builds.append(1)
+            return A.copy()
+
+        A = self._slightly_indefinite()
+        _chol_with_jitter(lambda: build(A))
+        assert len(builds) == 2
+        builds.clear()
+        with pytest.raises(IllConditionedGramError):
+            _chol_with_jitter(lambda: build(np.array([[1.0, 3.0], [3.0, 2.0]])))
+        assert len(builds) == len(regression.JITTER_LADDER)
+
+    def test_failure_reports_the_original_diagonal(self):
+        """The failed rungs overwrite the buffer; the message keeps diag(A)."""
+        with pytest.raises(IllConditionedGramError, match=r"max/min 4\.000e\+00"):
+            _chol_with_jitter(lambda: np.array([[1.0, 3.0], [3.0, 4.0]]))
+
+
+class TestMemoryCeilings:
+    """One n x n buffer per point set: the Gram, its shift and its factor share it."""
+
+    N = 1024
+
+    def _peak(self, call):
+        points = sample_sphere(3, self.N, 6)
+        kernel = make_kernel("nt", 2)
+        tracemalloc.start()
+        try:
+            call(kernel, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (8.0 * self.N * self.N)
+
+    def test_gram(self):
+        assert self._peak(kernels.gram) < 1.5
+
+    def test_ridge_factor(self):
+        assert self._peak(lambda k, x: regression._ridge_factor(k, x, 0.01)) < 1.5
+
+    def test_infogain_summary_with_effective_dimension(self):
+        assert self._peak(lambda k, x: regression._infogain_summary(k, x, 0.1)) < 2.5
 
 
 class TestPredict:
