@@ -13,10 +13,10 @@ an integer flag, any JSON number for a float flag, a string for a string
 flag, ``true``/``false`` for a switch and a list of numbers for ``u``;
 ``null`` is accepted only where the default is null.  A value of another
 type is a configuration error.  So is a value out of range, found before
-any work starts: the float parameters lam, lam2, nu, lengthscale and ridge
-must be finite and positive, noise_scale finite and non-negative, and
-degree_min (or its default) non-negative and no larger than degree_max and
-max_degree.
+any work starts: lam, lam2, nu, lengthscale and ridge must be finite and
+positive (lam^2 a normal float), noise_scale finite and non-negative,
+workers at least 1, parity even, odd or all, and degree_min (or its
+default) non-negative and no larger than degree_max and max_degree.
 
 Only infogain, sample-greedy, error-rate and mig-growth import
 ``regression``, ``experiments`` and ``scipy.linalg``, each at the entry of
@@ -36,11 +36,12 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, _in_range
+from .errors import ConfigurationError, NumericalError, ParameterError, _check_lam, _in_range
 from .kernels import _check_unit_rows, make_kernel
 from .serialize import csv_document, json_document
 from .spectral import (
     MaternSpec,
+    _window,
     default_fit_range,
     eigendecay_fit,
     matern_spectrum,
@@ -225,20 +226,28 @@ def resolve_config(command, args):
 
 
 def _check_values(cfg):
-    """Reject out-of-range values before any work is done."""
+    """Reject out-of-range values, also by the library's lam and window rules, before any work."""
     if cfg["format"] not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {cfg['format']!r}")
+    if cfg["workers"] is not None and cfg["workers"] < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {cfg['workers']}")
     for pname, value in cfg.items():
         sign = _SIGNS.get(pname)
         if sign and not _in_range(value, allow_zero=sign == "non-negative"):
             raise ConfigurationError(f"{pname} must be finite and {sign}, got {value!r}")
-    if "degree_min" in cfg:
-        lo, hi = _degree_range(cfg)
-        if lo < 0:
-            raise ConfigurationError(f"degree_min {lo} is below 0")
-        for name, bound in (("degree_max", hi), ("max_degree", cfg["max_degree"])):
-            if lo > bound:
-                raise ConfigurationError(f"degree_min {lo} is above {name} {bound}")
+    try:
+        if "lam" in cfg:
+            _check_lam(cfg["lam"])
+        if "degree_min" in cfg:
+            lo, hi = _degree_range(cfg)
+            if lo < 0:
+                raise ConfigurationError(f"degree_min {lo} is below 0")
+            for name, bound in (("degree_max", hi), ("max_degree", cfg["max_degree"])):
+                if lo > bound:
+                    raise ConfigurationError(f"degree_min {lo} is above {name} {bound}")
+            _window(cfg["max_degree"], (lo, hi), cfg["parity"])
+    except ParameterError as exc:
+        raise ConfigurationError(str(exc)) from None
 
 
 def _u_values(cfg):

@@ -7,10 +7,11 @@ completed reliably (exit code 3).
 
 ``_in_range`` is the one finite-and-positive range rule: the library's
 float parameters go through it by ``_check_positive``, the CLI's by
-``cli._check_values``.
+``cli._check_values``; ``_check_lam`` is the one rule for lam and lam^2.
 """
 
 from math import isfinite
+from sys import float_info
 
 
 class SphereKernError(Exception):
@@ -73,3 +74,11 @@ def _check_positive(value, message, allow_zero=False):
     """Raise ``ParameterError(message)`` unless ``_in_range(value, allow_zero)``."""
     if not _in_range(value, allow_zero):
         raise ParameterError(message)
+
+
+def _check_lam(lam):
+    """Raise ``ParameterError`` unless lam > 0 and lam^2 is a normal float: below
+    about 1.5e-154, 1/lam^2 in the variance-sum bound may overflow or divide by
+    zero; above about 1.3e154, lam^2 is infinite.  NaN fails both tests."""
+    if not (lam > 0 and float_info.min <= lam * lam <= float_info.max):
+        raise ParameterError(f"lam must be positive with lam^2 a normal float, got {lam}")

@@ -13,12 +13,12 @@ g = k^T (K + ridge I)^{-1} Y_hat, and normalize by the range of g over a
 large uniform sample.  The resulting f has certified finite RKHS norm.
 
 An error-rate repetition with nested training sets factors K + lam^2 I
-once, for the largest set: the factor of each smaller (leading) set is the
-leading block of that factor, so a jitter rung the largest set needs
-applies to every prefix.  The evaluation points stream through in row
-tiles of at most one kernel block (``kernels._BLOCK`` entries), each
-scored against every n by one GEMM, so memory stays O(n^2) whatever the
-evaluation sample size.
+once, for the largest set, as L L^T: each prefix is factored by a leading
+block of L, so a jitter rung the largest set needs applies to every prefix,
+and one forward and one back solve with the whole of L fit every prefix.
+The evaluation points stream through in row tiles of at most one kernel
+block (``kernels._BLOCK`` entries), each scored against every n by one
+GEMM, so memory stays O(n^2) whatever the evaluation sample size.
 
 Every quantity is a pure function of the configuration: repetition r of
 a run with master seed m draws all of its randomness from seed sequences
@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import block_diag, cho_solve, solve_triangular
 
 from .errors import (
     DegenerateFunctionError,
@@ -205,16 +205,6 @@ class ErrorRateReport(JsonReport):
         ]
         return csv_document(["n", "rep", "sup_error"], rows)
 
-    def summary_csv(self):
-        """Per-n mean and standard deviation, ready for rate plots."""
-        mean = self.sup_errors.mean(axis=0)
-        std = self.sup_errors.std(axis=0, ddof=1) if self.sup_errors.shape[0] > 1 \
-            else np.zeros(self.n_grid.size)
-        rows = [
-            [int(n), mean[j], std[j]] for j, n in enumerate(self.n_grid)
-        ]
-        return csv_document(["n", "mean_sup_error", "std_sup_error"], rows)
-
 
 def _grid(n_grid, max_exp):
     """The n grid as int64 (default 2^1 .. 2^max_exp) and the slice of its upper half.
@@ -239,10 +229,13 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
     The training points are drawn as pools, each with its own seed salt:
     nested, one pool of max(n_grid) points for every n; independent
     (``nested=False``), one pool of n points per n.  Each pool's
-    K + lam^2 I is factored once and fit j solves with the leading block
-    L[:n_j, :n_j] of its pool's factor.  The pools are stacked into one
-    training matrix ``X`` and the fits into one weight matrix whose column
-    j holds the weights of fit j (zero outside its rows).  The evaluation
+    K + lam^2 I = L L^T is factored once.  As L[:n, :n] factors prefix n,
+    z = L^{-1} Y holds the forward solve of every prefix, and one back solve
+    L^T A = Z, column j of Z being z zeroed from row n_j on, gives in column
+    j of A the weights of fit j: upper triangular L^T keeps them in its
+    first n_j rows, with exact zeros below.  The pools are stacked into one
+    training matrix ``X`` and their blocks A into one block-diagonal weight
+    matrix, column j for fit j.  The evaluation
     points then stream through in tiles of max(1, _BLOCK // rows of X)
     rows: one tile x X Gram, one GEMM and a running max |error| per n.
     """
@@ -250,25 +243,19 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
     target = make_synthetic(kernel, d, n0=n0, ridge=ridge, seed=rep_seed)
 
     pools = [((), n_grid)] if nested else [((int(n),), [n]) for n in n_grid]
-    sets = []
-    alpha = np.zeros((sum(int(sizes[-1]) for _, sizes in pools), len(n_grid)))
-    row = j = 0
+    sets, blocks = [], []
     for salt, sizes in pools:
         size = int(sizes[-1])
         P = sample_sphere(d, size, [rep_seed, SALT_TRAIN, *salt])
-        noise = (
-            np.random.default_rng([rep_seed, SALT_NOISE, *salt]).standard_normal(size)
-            * noise_scale
-        )
-        Y = target(P) + noise
+        noise = np.random.default_rng([rep_seed, SALT_NOISE, *salt]).standard_normal(size)
         L, _ = _ridge_factor(kernel, P, train_lam2)
-        for n in sizes:
-            alpha[row:row + n, j] = cho_solve((L[:n, :n], True), Y[:n])
-            j += 1
+        z = solve_triangular(L, target(P) + noise * noise_scale, lower=True)
+        Z = np.where(np.arange(size)[:, None] < sizes, z[:, None], 0.0)
+        blocks.append(solve_triangular(L, Z, trans="T", lower=True))
         del L  # before the next pool's Gram and the evaluation stream
         sets.append(P)
-        row += size
     X = np.vstack(sets)
+    alpha = block_diag(*blocks)
 
     # X passed the unit-norm check in _ridge_factor and the anchors theirs when
     # the target was built; the evaluation points are checked once, not per tile
@@ -304,7 +291,8 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
     pre-asymptotic regime.
 
     A repetition that fails numerically is excluded and recorded; if 20%
-    or more fail, the whole experiment errors out.
+    or more fail, the whole experiment errors out.  Up to ``workers``
+    processes, no more than repetitions, run them; None or 1 runs them here.
     """
     n_grid, half = _grid(n_grid, 11)
     if repetitions < 1:
@@ -321,7 +309,8 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
          noise_scale, n0, ridge, nested)
         for r in range(repetitions)
     ]
-    if workers is not None and workers > 1:
+    workers = min(workers or 1, repetitions)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_error_rate_rep_star, tasks))
     else:

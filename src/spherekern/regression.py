@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     IllConditionedGramError,
     ParameterError,
+    _check_lam,
     _check_positive,
 )
 from .kernels import _check_unit_rows, _cross_gram, gram
@@ -126,7 +127,7 @@ class FittedRegressor:
     @classmethod
     def empty(cls, kernel, lam, d=None):
         """The prior model (no training data)."""
-        _check_positive(lam, f"lam must be positive, got {lam}")
+        _check_lam(lam)
         if d is None:
             spec = getattr(kernel, "spec", None)
             d = spec.d if spec is not None else 3
@@ -204,7 +205,7 @@ def fit(kernel, dataset, lam):
     matrices (e.g. duplicated training points at small lam) get escalating
     diagonal jitter before the fit is abandoned.
     """
-    _check_positive(lam, f"lam must be positive, got {lam}")
+    _check_lam(lam)
     if len(dataset) == 0:
         raise ConfigurationError("fit requires a non-empty dataset; use FittedRegressor.empty")
     L, jitter = _ridge_factor(kernel, dataset.X, lam * lam)
@@ -258,7 +259,7 @@ def _infogain_summary(kernel, points, lam, effective_dim=True):
     ``effective_dim=False`` the n x n triangular solve, which only the
     effective dimension needs, is skipped and None returned in its place.
     """
-    _check_positive(lam, f"lam must be positive, got {lam}")
+    _check_lam(lam)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
     lam2 = lam * lam
@@ -352,7 +353,7 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     with the selection order, the variance at each selection, and per-prefix
     information gain, effective dimension, and variance-sum bound.
     """
-    _check_positive(lam, f"lam must be positive, got {lam}")
+    _check_lam(lam)
     grid = np.atleast_2d(np.asarray(candidate_grid, dtype=float))
     if grid.shape[0] == 0:
         raise ConfigurationError("candidate grid is empty")

@@ -105,14 +105,31 @@ class TestExitCodes:
          "degree_min -3 is below 0"),
         (["eigendecay", "--family", "nt", "--s", "1", "--degree-min", "-3"],
          "degree_min -3 is below 0"),
+        (["eigendecay", "--family", "nt", "--s", "1", "--parity", "foo"],
+         "parity must be 'even', 'odd' or 'all', got 'foo'"),
+        (["matern-compare", "--s", "1", "--nu", "1.5", "--parity", "foo"],
+         "parity must be 'even', 'odd' or 'all', got 'foo'"),
+        (["infogain", "--family", "nt", "--s", "1", "--lam", "1e-200"],
+         "lam must be positive with lam^2 a normal float, got 1e-200"),
+        (["sample-greedy", "--family", "nt", "--s", "1", "--lam", "1e-200"],
+         "lam must be positive with lam^2 a normal float, got 1e-200"),
+        (["infogain", "--family", "nt", "--s", "1", "--lam", "1e-160"],
+         "lam must be positive with lam^2 a normal float, got 1e-160"),
+        (["infogain", "--family", "nt", "--s", "1", "--lam", "1e200"],
+         "lam must be positive with lam^2 a normal float, got 1e+200"),
+        (["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--workers", "-3"],
+         "workers must be >= 1, got -3"),
+        (["spectrum", "--family", "nt", "--s", "1", "--workers", "0"],
+         "workers must be >= 1, got 0"),
     ])
     def test_out_of_range_value_is_two_before_any_work(self, argv, message, monkeypatch,
                                                        capsys):
         """An out-of-range value exits 2 with one line; the subcommand never starts."""
-        def never(cfg):
+        def never(*args):
             raise AssertionError("the subcommand ran")
 
         monkeypatch.setitem(cli._HANDLERS, argv[0], never)
+        monkeypatch.setattr(cli, "mercer_spectrum", never)
         assert main(argv) == 2
         assert capsys.readouterr().err == f"ConfigurationError: {message}\n"
 
@@ -427,6 +444,7 @@ for name in spherekern.__all__[1:]:  # __version__ first, then classes and funct
         assert obj.__module__ == "spherekern." + spherekern._LAZY[name], name
 assert set(spherekern.__all__) <= set(dir(spherekern))
 assert spherekern.experiments.cho_solve is spherekern.regression.cho_solve
+assert spherekern.experiments.solve_triangular is spherekern.regression.solve_triangular
 print("ok")
 """
 

@@ -1,9 +1,11 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve
 
 from spherekern import (
     DegenerateFunctionError,
@@ -189,6 +191,35 @@ class TestErrorRateExperiment:
         )
         assert np.array_equal(small_report.sup_errors, parallel.sup_errors)
 
+    @pytest.mark.parametrize("workers, repetitions, started", [
+        (64, 2, [2]), (2, 3, [2]), (64, 1, []), (1, 3, []), (None, 3, []),
+    ])
+    def test_no_more_workers_than_repetitions(self, monkeypatch, workers, repetitions,
+                                              started):
+        """The pool is capped at one process per repetition, and not made for one."""
+        pools = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", SerialExecutor)
+        report = error_rate_experiment(
+            "nt", 1, 3, n_grid=[2, 4, 8], repetitions=repetitions, eval_sample=50,
+            n0=10, workers=workers,
+        )
+        assert pools == started
+        assert report.sup_errors.shape == (repetitions, 3)
+
     def test_master_seed_changes_results(self, small_report):
         other = error_rate_experiment(
             "nt", 1, 3, n_grid=SMALL_GRID, repetitions=2, master_seed=100,
@@ -214,8 +245,6 @@ class TestErrorRateExperiment:
         n, rep, err = lines[1].split(",")
         assert (int(n), int(rep)) == (2, 0)
         assert float(err) == small_report.sup_errors[0, 0]
-        summary = small_report.summary_csv().split("\r\n")
-        assert summary[0] == "n,mean_sup_error,std_sup_error"
 
     def test_failed_repetitions_are_recorded(self, monkeypatch):
         """A failing repetition is excluded when rare, fatal when common."""
@@ -298,6 +327,66 @@ class TestErrorRateRepetition:
         monkeypatch.setattr(regression, "cholesky", counting)
         self._rep(SMALL_GRID, nested=True)
         assert sizes == [100, 100, SMALL_GRID[-1]]
+
+    def test_nested_repetition_memory_ceiling(self):
+        """Fitting every prefix adds little to the one N x N factor of the pool."""
+        grid = 2 ** np.arange(1, 11)
+        tracemalloc.start()
+        try:
+            self._rep(grid, nested=True, eval_sample=300, n0=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * grid[-1] ** 2
+
+    @staticmethod
+    def _spied_rep(monkeypatch, grid, nested):
+        """Run a repetition; return its ``solve_triangular`` calls as (args, kwargs,
+        result) and the names of the functions that called ``cho_solve``."""
+        solves, cho_callers = [], []
+        real_tri, real_cho = exp_mod.solve_triangular, exp_mod.cho_solve
+
+        def tri(*args, **kwargs):
+            out = real_tri(*args, **kwargs)
+            solves.append((args, kwargs, out))
+            return out
+
+        def cho(*args, **kwargs):
+            cho_callers.append(sys._getframe(1).f_code.co_name)
+            return real_cho(*args, **kwargs)
+
+        monkeypatch.setattr(exp_mod, "solve_triangular", tri)
+        monkeypatch.setattr(exp_mod, "cho_solve", cho)
+        TestErrorRateRepetition._rep(grid, nested)
+        return solves, cho_callers
+
+    @pytest.mark.parametrize("nested", [True, False])
+    def test_two_triangular_solves_per_pool(self, monkeypatch, nested):
+        """No solve per n: a forward and a back solve per pool, cho_solve only for the target."""
+        grid = 2 ** np.arange(1, 8)
+        solves, cho_callers = self._spied_rep(monkeypatch, grid, nested)
+        pools = 1 if nested else grid.size
+        assert [kw.get("trans") for _, kw, _ in solves] == [None, "T"] * pools
+        assert cho_callers == ["make_synthetic"]
+
+    @pytest.mark.parametrize("nested", [True, False])
+    def test_weight_columns_are_per_prefix_solves(self, monkeypatch, nested):
+        """Column j is cho_solve on prefix n_j, to 1e-12 in norm, and exactly zero
+        from row n_j on."""
+        grid = 2 ** np.arange(1, 8)
+        solves, _ = self._spied_rep(monkeypatch, grid, nested)
+        columns = 0
+        for ((L, Y), _, _), (_, _, A) in zip(solves[::2], solves[1::2]):
+            sizes = grid if nested else [L.shape[0]]
+            assert A.shape == (L.shape[0], len(sizes))
+            for j, n in enumerate(sizes):
+                want = cho_solve((L[:n, :n], True), Y[:n])
+                # relative to the weight vector: a small weight carries the
+                # rounding of the large ones
+                assert np.linalg.norm(A[:n, j] - want) <= 1e-12 * np.linalg.norm(want)
+                assert np.all(A[n:, j] == 0.0)
+            columns += len(sizes)
+        assert columns == grid.size
 
     def test_eval_gram_is_streamed(self):
         """The peak stays far below one eval_sample x max_n array."""

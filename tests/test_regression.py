@@ -61,6 +61,14 @@ def test_range_checks_reject_nan_inf_and_negative(entry, value):
         _RANGE_CHECKS[entry](value)
 
 
+@pytest.mark.parametrize("lam", [1e-200, 1e-160, 1e200])
+@pytest.mark.parametrize("entry", sorted(e for e in _RANGE_CHECKS if e.endswith(".lam")))
+def test_lam_square_must_be_a_normal_float(entry, lam):
+    """lam^2 of 0 (1e-200), subnormal (1e-160) or inf (1e200) is a ParameterError."""
+    with pytest.raises(ParameterError, match=r"lam\^2 a normal float"):
+        _RANGE_CHECKS[entry](lam)
+
+
 class TestSphericalDataset:
     def test_holds_data(self):
         ds = SphericalDataset(np.eye(3), [1.0, 2.0, 3.0], noise_scale=0.2)
