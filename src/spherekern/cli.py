@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ParameterError, _check_lam, _in_range
 from .kernels import _check_unit_rows, make_kernel
-from .serialize import csv_document, json_document
+from .serialize import csv_table, json_document
 from .spectral import (
     MaternSpec,
     _window,
@@ -284,13 +284,16 @@ def _spectrum(cfg):
     return mercer_spectrum(_kernel(cfg), cfg["d"], cfg["max_degree"])
 
 
-def cmd_kernel_eval(cfg):
-    kernel = _kernel(cfg)
-    u = _u_values(cfg)
-    values = np.atleast_1d(kernel(u))
-    csv_text = csv_document(["u", "value"], zip(u, values))
-    payload = {"u": u.tolist(), "value": values.tolist()}
+def _payload_texts(cfg, payload, csv_keys):
+    """The CSV of the payload's ``csv_keys``, made now, and a factory for its JSON."""
+    csv_text = csv_table({key: payload[key] for key in csv_keys})
     return csv_text, lambda: json_document(payload, config=cfg)
+
+
+def cmd_kernel_eval(cfg):
+    u = _u_values(cfg)
+    payload = {"u": u.tolist(), "value": np.atleast_1d(_kernel(cfg)(u)).tolist()}
+    return _payload_texts(cfg, payload, ("u", "value"))
 
 
 def cmd_spectrum(cfg):
@@ -309,16 +312,14 @@ def cmd_eigendecay(cfg):
     table = _spectrum(cfg)
     lo, hi = _degree_range(cfg)
     slope, r2 = eigendecay_fit(table, parity=cfg["parity"], degree_range=(lo, hi))
-    csv_text = csv_document(
-        ["slope", "r_squared", "parity", "degree_min", "degree_max"],
-        [[slope, r2, cfg["parity"], lo, hi]],
-    )
     payload = {
         "family": cfg["family"], "s": cfg["s"], "d": cfg["d"],
         "parity": cfg["parity"], "degree_min": lo, "degree_max": hi,
         "slope": slope, "r_squared": r2,
     }
-    return csv_text, lambda: json_document(payload, config=cfg)
+    return _payload_texts(
+        cfg, payload, ("slope", "r_squared", "parity", "degree_min", "degree_max")
+    )
 
 
 def cmd_matern_compare(cfg):
@@ -332,17 +333,13 @@ def cmd_matern_compare(cfg):
         table, matern, (lo, hi), parity=cfg["parity"]
     )
     spread = max_ratio / min_ratio if min_ratio > 0 else float("inf")
-    csv_text = csv_document(
-        ["min_ratio", "max_ratio", "ratio_spread"],
-        [[min_ratio, max_ratio, spread]],
-    )
     payload = {
         "family": cfg["family"], "s": cfg["s"], "d": cfg["d"], "nu": cfg["nu"],
         "lengthscale": cfg["lengthscale"], "parity": cfg["parity"],
         "degree_min": lo, "degree_max": hi,
         "min_ratio": min_ratio, "max_ratio": max_ratio, "ratio_spread": spread,
     }
-    return csv_text, lambda: json_document(payload, config=cfg)
+    return _payload_texts(cfg, payload, ("min_ratio", "max_ratio", "ratio_spread"))
 
 
 def cmd_infogain(cfg):

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .kernels import _BLOCK, _check_unit_rows, _cross_gram, gram, make_kernel
 from .regression import _chol_with_jitter, _ridge_factor, greedy_max_variance, sample_sphere
-from .serialize import JsonReport, csv_document
+from .serialize import JsonReport, csv_table
 from .spectral import _loglog_fit
 
 # Seed-sequence salts: one substream per random role, so protocol changes
@@ -198,12 +198,9 @@ class ErrorRateReport(JsonReport):
     failures: tuple = ()
 
     def to_csv(self):
-        rows = [
-            [int(n), int(rep), self.sup_errors[r, j]]
-            for j, n in enumerate(self.n_grid)
-            for r, rep in enumerate(self.rep_indices)
-        ]
-        return csv_document(["n", "rep", "sup_error"], rows)
+        n, rep = np.meshgrid(self.n_grid, self.rep_indices, indexing="ij")  # n-major rows
+        return csv_table({"n": n.ravel(), "rep": rep.ravel(),
+                          "sup_error": self.sup_errors.T.ravel()})
 
 
 def _grid(n_grid, max_exp):
@@ -249,9 +246,10 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
         P = sample_sphere(d, size, [rep_seed, SALT_TRAIN, *salt])
         noise = np.random.default_rng([rep_seed, SALT_NOISE, *salt]).standard_normal(size)
         L, _ = _ridge_factor(kernel, P, train_lam2)
-        z = solve_triangular(L, target(P) + noise * noise_scale, lower=True)
+        # no n^2 finiteness masks: cholesky checked L's input, the rhs is kernel values and noise
+        z = solve_triangular(L, target(P) + noise * noise_scale, lower=True, check_finite=False)
         Z = np.where(np.arange(size)[:, None] < sizes, z[:, None], 0.0)
-        blocks.append(solve_triangular(L, Z, trans="T", lower=True))
+        blocks.append(solve_triangular(L, Z, trans="T", lower=True, check_finite=False))
         del L  # before the next pool's Gram and the evaluation stream
         sets.append(P)
     X = np.vstack(sets)
@@ -359,11 +357,7 @@ class MigGrowthReport(JsonReport):
     fitted_exponent: float
     theoretical_exponent: float
 
-    def to_csv(self):
-        rows = [
-            [int(n), self.info_gain[j]] for j, n in enumerate(self.n_grid)
-        ]
-        return csv_document(["n", "info_gain"], rows)
+    _csv_columns = {"n": "n_grid", "info_gain": "info_gain"}
 
 
 def mig_growth_experiment(family, s, d, n_grid=None, lam=1.0,

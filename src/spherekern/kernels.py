@@ -16,10 +16,11 @@ once, on entry (NaN is rejected), then evaluates it in cache-sized
 blocks.  A seeded Monte-Carlo oracle estimates the defining Gaussian
 expectations directly and is used to validate the closed forms.
 
-A Gram matrix takes one n x n buffer: the inner products ``X @ X.T`` are
-symmetrized in place in row blocks and the kernel writes its values back
-into the same buffer (``DotProductKernel.__call__(u, out=u)``), which the
-regression code then shifts and factors in place.  Only the effective
+A Gram matrix takes one n x n buffer: numpy computes ``X @ X.T`` as an
+exactly symmetric rank-k update (``test_kernels.py::TestGram::
+test_symmetric_psd`` pins it bit for bit), and the kernel writes its values
+back into the same buffer (``DotProductKernel.__call__(u, out=u)``), which
+the regression code then shifts and factors in place.  Only the effective
 dimension of ``infogain`` needs a second n x n array, for L^{-1}.
 """
 
@@ -272,36 +273,15 @@ def _check_unit_rows(points, what="point"):
 def gram(kernel, points, points2=None):
     """Kernel matrix ``K[i, j] = kappa(x_i . y_j)`` for unit vectors.
 
-    With ``points2=None`` returns the symmetric Gram matrix of ``points``;
-    inner products are symmetrized and clipped to [-1, 1] before kernel
-    evaluation so that rounding in the matrix product cannot push them
-    outside the kernel domain.  The kernel (a :class:`DotProductKernel`)
-    writes into the inner-product array, so the result is the only
-    n x m array made.
+    With ``points2=None`` returns the Gram matrix of ``points``, exactly
+    symmetric because ``X @ X.T`` is.  Inner products are clipped to [-1, 1]
+    before kernel evaluation so that rounding in the matrix product cannot
+    push them outside the kernel domain.  The kernel (a
+    :class:`DotProductKernel`) writes into the inner-product array, so the
+    result is the only n x m array made.
     """
     X = _check_unit_rows(points)
-    if points2 is not None:
-        return _cross_gram(kernel, X, _check_unit_rows(points2))
-    U = X @ X.T
-    _symmetrize(U)
-    return kernel(np.clip(U, -1.0, 1.0, out=U), out=U)
-
-
-def _symmetrize(U):
-    """Overwrite square U with ``(U + U.T) / 2``, to its bits, one row block at a time.
-
-    Row block ``[lo, hi)`` is averaged with its column block against every
-    column from ``lo`` on and written to both; later blocks read only
-    entries below and right of it, which it leaves alone.
-    """
-    n = U.shape[0]
-    rows = max(1, _BLOCK // max(n, 1))
-    for lo in range(0, n, rows):
-        hi = lo + rows
-        avg = U[lo:hi, lo:] + U[lo:, lo:hi].T
-        avg /= 2.0
-        U[lo:hi, lo:] = avg
-        U[lo:, lo:hi] = avg.T
+    return _cross_gram(kernel, X, X if points2 is None else _check_unit_rows(points2))
 
 
 def _cross_gram(kernel, X, Y):

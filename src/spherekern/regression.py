@@ -38,7 +38,7 @@ from .errors import (
     _check_positive,
 )
 from .kernels import _check_unit_rows, _cross_gram, gram
-from .serialize import JsonReport, csv_document
+from .serialize import JsonReport
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
 JITTER_LADDER = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -302,10 +302,8 @@ class InfoGainReport(JsonReport):
     sum_variance: float
     bound_rhs: float
 
-    def to_csv(self):
-        header = ["n", "info_gain", "effective_dim", "sum_variance", "bound_rhs"]
-        row = [self.n, self.info_gain, self.effective_dim, self.sum_variance, self.bound_rhs]
-        return csv_document(header, [row])
+    _csv_columns = {name: name for name in
+                    ("n", "info_gain", "effective_dim", "sum_variance", "bound_rhs")}
 
 
 @dataclass(frozen=True)
@@ -329,19 +327,16 @@ class GreedyTrace(JsonReport):
 
     _json_extra = ("n",)
     _json_omit = ("selected_points",)
+    _csv_columns = {**InfoGainReport._csv_columns, "n": "prefix_sizes"}
 
     @property
     def n(self):
         return self.selected_indices.size
 
-    def to_csv(self):
-        header = ["n", "info_gain", "effective_dim", "sum_variance", "bound_rhs"]
-        rows = [
-            [i + 1, self.info_gain[i], self.effective_dim[i],
-             self.sum_variance[i], self.bound_rhs[i]]
-            for i in range(self.n)
-        ]
-        return csv_document(header, rows)
+    @property
+    def prefix_sizes(self):
+        """1..n: the number of points selected after each step."""
+        return np.arange(1, self.n + 1)
 
 
 def greedy_max_variance(kernel, candidate_grid, n, lam):

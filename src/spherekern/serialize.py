@@ -41,6 +41,17 @@ def csv_document(header, rows):
     return buf.getvalue()
 
 
+def csv_table(columns):
+    """CSV of ``{header: column}`` in insertion order; a scalar column repeats
+    on every row, and a table of scalars only is one row."""
+    lengths = {len(col) for col in columns.values() if np.ndim(col)}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 1
+    cols = [col if np.ndim(col) else [col] * rows for col in columns.values()]
+    return csv_document(list(columns), zip(*cols))
+
+
 def _plain(obj):
     """``json.dumps`` fallback: numpy arrays and scalars as Python values."""
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -73,14 +84,21 @@ def json_document(payload, config=None, timestamp=None):
 
 
 class JsonReport:
-    """Base of the report dataclasses: ``to_json`` writes every field.
+    """Base of the report dataclasses: ``to_json`` writes every field,
+    ``to_csv`` the columns of ``_csv_columns``.
 
-    A subclass names properties to add to the payload in ``_json_extra``
-    and fields to leave out of it in ``_json_omit``.
+    A subclass names properties to add to the JSON payload in ``_json_extra``
+    and fields to leave out of it in ``_json_omit``.  ``_csv_columns`` maps
+    each CSV header to the field or property that fills its column (see
+    :func:`csv_table`).
     """
 
     _json_extra = ()
     _json_omit = ()
+    _csv_columns = {}
+
+    def to_csv(self):
+        return csv_table({head: getattr(self, name) for head, name in self._csv_columns.items()})
 
     def to_json(self, config=None, timestamp=None):
         names = [f.name for f in fields(self) if f.name not in self._json_omit]

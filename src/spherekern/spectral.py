@@ -35,7 +35,7 @@ from .errors import (
     _check_positive,
 )
 from .kernels import DotProductKernel, make_kernel, rf_closed
-from .serialize import JsonReport, csv_document
+from .serialize import JsonReport
 
 #: Degrees with eigenvalue below this are treated as numerically zero
 #: (suppressed parity) by the fitting routines.
@@ -135,11 +135,7 @@ def addition_constant(d, i):
     """Addition-theorem constant c_{i,d} = N_{d,i} Gamma((d-2)/2) / (2 pi^{(d-2)/2} C_i(1))."""
     if d < 3:
         raise UnsupportedDimensionError(f"addition_constant requires d >= 3, got d={d}")
-    return (
-        multiplicity(d, i)
-        * gamma((d - 2) / 2.0)
-        / (2.0 * pi ** ((d - 2) / 2.0) * gegenbauer_at_one(d, i))
-    )
+    return float(_degree_constants(d, i)[0][i])
 
 
 def _exact_table(f, d, M):
@@ -157,7 +153,7 @@ def _degree_constants(d, M):
 
     C_i(1) and N_{d,i} are the exact :func:`gegenbauer_at_one` and
     :func:`multiplicity` as int64 (a ParameterError if they do not fit);
-    c_{i,d} is :func:`addition_constant`, bit for bit.
+    :func:`addition_constant` reads c_{i,d} from here.
     """
     d = int(d)  # Python floats in cfac, even for a numpy d
     at_one = _exact_table(gegenbauer_at_one, d, M)
@@ -273,6 +269,8 @@ class SpectrumTable(JsonReport):
     n_clamped: int = 0
 
     _json_extra = ("max_degree", "degrees")
+    _csv_columns = {"degree": "degrees", "eigenvalue": "eigenvalues",
+                    "multiplicity": "multiplicities"}
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -291,10 +289,6 @@ class SpectrumTable(JsonReport):
     @property
     def degrees(self):
         return np.arange(self.eigenvalues.size)
-
-    def to_csv(self):
-        rows = zip(self.degrees, self.eigenvalues, self.multiplicities)
-        return csv_document(["degree", "eigenvalue", "multiplicity"], rows)
 
 
 def mercer_spectrum(kernel, d, M, basis=None, provenance=None):

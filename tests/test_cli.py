@@ -360,6 +360,28 @@ class TestReports:
                      "--out", str(tmp_path / "report.json")]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("case, header, first_row", [
+        (CLI_CASES[4], "n,info_gain,effective_dim,sum_variance,bound_rhs",
+         lambda p: [p[k] for k in ("n", "info_gain", "effective_dim", "sum_variance",
+                                   "bound_rhs")]),
+        (CLI_CASES[2], "slope,r_squared,parity,degree_min,degree_max",
+         lambda p: [p[k] for k in ("slope", "r_squared", "parity", "degree_min",
+                                   "degree_max")]),
+        (CLI_CASES[3], "min_ratio,max_ratio,ratio_spread",
+         lambda p: [p["min_ratio"], p["max_ratio"], p["ratio_spread"]]),
+        (CLI_CASES[7], "n,info_gain", lambda p: [p["n_grid"][0], p["info_gain"][0]]),
+    ], ids=["infogain", "eigendecay", "matern-compare", "mig-growth"])
+    def test_csv_header_and_first_row(self, case, header, first_row, tmp_path):
+        """The CSV header, and a first row holding the JSON payload's values:
+        floats to 17 significant digits, integers and strings as they are."""
+        csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+        assert main([*case, "--format", "csv", "--out", str(csv_path)]) == 0
+        assert main([*case, "--out", str(json_path)]) == 0
+        lines = csv_path.read_bytes().decode().split("\r\n")
+        expected = [format(v, ".17g") if isinstance(v, float) else str(v)
+                    for v in first_row(payload_of(json_path.read_text()))]
+        assert lines[:2] == [header, ",".join(expected)]
+
     def test_infogain_payload_matches_public_functions(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["infogain", "--family", "nt", "--s", "2", "--d", "4",

@@ -173,16 +173,30 @@ class TestGram:
         K = gram(make_kernel("nt", 1), X)
         assert_allclose(K, [[2.0, 1.0 / np.pi], [1.0 / np.pi, 2.0]], rtol=1e-15)
 
-    def test_symmetric_psd(self):
-        """Random spherical Gram matrices are symmetric positive semidefinite."""
-        rng = np.random.default_rng(42)
-        for fam, s in [("rf", 1), ("nt", 1), ("rf", 2), ("nt", 3)]:
-            X = rng.standard_normal((40, 4))
-            X /= np.linalg.norm(X, axis=1, keepdims=True)
-            K = gram(make_kernel(fam, s, d=4), X)
-            assert_allclose(K, K.T, rtol=0, atol=0)
-            w = np.linalg.eigvalsh(K)
-            assert w.min() >= -1e-10 * w.max()
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [1, 7, 300, 1000, 2048])
+    @pytest.mark.parametrize("d", [2, 3, 50])
+    def test_symmetric_psd(self, layout, n, d):
+        """Gram matrices are bitwise symmetric, bitwise ``_cross_gram(X, X)`` and
+        positive semidefinite, for C-ordered, F-ordered and row-strided points.
+
+        Past n = 300 one kernel is evaluated and the O(n^3) spectrum skipped:
+        symmetry is a property of the inner products, which every kernel maps
+        entry by entry.
+        """
+        rng = np.random.default_rng([n, d])
+        X = rng.standard_normal((2 * n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X = X[::2] if layout == "strided" else np.asarray(X[:n], order=layout)
+        families = [("rf", 1), ("nt", 1), ("rf", 2), ("nt", 3)]
+        for fam, s in families if n <= 300 else families[:1]:
+            kernel = make_kernel(fam, s, d=d)
+            K = gram(kernel, X)
+            assert _bits(K) == _bits(K.T)
+            assert _bits(K) == _bits(kernels._cross_gram(kernel, X, X))
+            if n <= 300:
+                w = np.linalg.eigvalsh(K)
+                assert w.min() >= -1e-10 * w.max()
 
     def test_cross_gram(self):
         rng = np.random.default_rng(3)
@@ -345,14 +359,6 @@ class TestInPlaceEvaluation:
                     np.empty((6, 4)).T, np.empty((4, 12))[:, ::2]):
             with pytest.raises(ConfigurationError, match="out must be"):
                 kernel(u, out=out)
-
-    @pytest.mark.parametrize("n", [1, 7, 300, 1000])
-    def test_gram_symmetrization_is_bitwise(self, n):
-        """The blockwise in-place average is (U + U.T) / 2 to the bit."""
-        U = np.random.default_rng(n).uniform(-1.0, 1.0, (n, n))
-        expected = (U + U.T) / 2.0
-        kernels._symmetrize(U)
-        assert _bits(U) == _bits(expected)
 
 
 class TestMonteCarlo:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spherekern import __version__
-from spherekern.serialize import json_document
+from spherekern.serialize import csv_table, json_document
 
 
 def _expected(payload, config):
@@ -41,3 +41,34 @@ class TestJsonDocument:
     def test_unknown_objects_are_rejected(self):
         with pytest.raises(TypeError, match="object is not JSON serializable"):
             json_document({"x": object()})
+
+
+class TestCsvTable:
+    def test_scalar_column_repeats_on_every_row(self):
+        text = csv_table({"n": [1, 2, 3], "lam": 0.5, "parity": "even"})
+        assert text == "n,lam,parity\r\n1,0.5,even\r\n2,0.5,even\r\n3,0.5,even\r\n"
+
+    def test_scalars_only_make_one_row(self):
+        assert csv_table({"a": 1, "b": "x"}) == "a,b\r\n1,x\r\n"
+
+    def test_ints_print_without_a_decimal_point(self):
+        text = csv_table({"i": [7, np.int64(-3)], "j": np.arange(2, dtype=np.int32),
+                          "k": np.int64(5)})
+        assert text == "i,j,k\r\n7,0,5\r\n-3,1,5\r\n"
+
+    def test_floats_print_to_17_digits(self):
+        text = csv_table({"x": np.array([0.1, 1.0, -np.inf]), "y": [1 / 3, 2.0, np.nan]})
+        assert text.split("\r\n")[1:4] == [
+            "0.10000000000000001,0.33333333333333331", "1,2", "-inf,nan",
+        ]
+
+    def test_strings_pass_through(self):
+        text = csv_table({"parity": ["even", "odd"], "note": "a,b"})
+        assert text == 'parity,note\r\neven,"a,b"\r\nodd,"a,b"\r\n'
+
+    def test_empty_column_gives_header_only(self):
+        assert csv_table({"n": np.arange(0), "lam": 0.5}) == "n,lam\r\n"
+
+    def test_columns_of_different_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            csv_table({"a": [1, 2], "b": [1, 2, 3]})
