@@ -79,6 +79,12 @@ def _check_positive(value, message, allow_zero=False):
 def _check_lam(lam):
     """Raise ``ParameterError`` unless lam > 0 and lam^2 is a normal float: below
     about 1.5e-154, 1/lam^2 in the variance-sum bound may overflow or divide by
-    zero; above about 1.3e154, lam^2 is infinite.  NaN fails both tests."""
+    zero; above about 1.3e154, lam^2 is infinite.  NaN fails both tests.  From
+    about 9.49e7 on, ``1 + 1/lam^2`` rounds to 1 and the bound's
+    ``log(1 + 1/lam^2)`` divides by zero, so such a lam fails as well."""
     if not (lam > 0 and float_info.min <= lam * lam <= float_info.max):
         raise ParameterError(f"lam must be positive with lam^2 a normal float, got {lam}")
+    if 1.0 + 1.0 / (lam * lam) == 1.0:
+        raise ParameterError(
+            f"lam must be below about 9.49e7, where 1 + 1/lam^2 rounds to 1, got {lam}"
+        )

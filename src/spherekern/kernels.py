@@ -9,11 +9,15 @@ Two kernel families are supported for the power-ReLU activations
   network linearized around its random initialization.
 
 Both are functions of the inner product ``u = x . x'`` of unit vectors.
-Closed forms are available for ``s in {0, 1, 2, 3}``; deeper networks
-(``l > 2``) are handled by the layer recursion.  Every public evaluator,
-``rf_derivative`` included, goes through one path: it validates ``u``
-once, on entry (NaN is rejected), then evaluates it in cache-sized
-blocks.  A seeded Monte-Carlo oracle estimates the defining Gaussian
+Closed forms are available for ``s in {0, 1, 2, 3}``, each one row of a
+coefficient table: ``kappa = (P(u) t + Q(u) S) / (D pi)`` with
+``t = pi - arccos(u)``, ``S = sin(arccos(u))``, integer polynomials P and Q
+and an integer D, the NT value and the slope ``kappa_s'`` included.  Every
+2-layer form is within about 2 eps kappa(1) of its exact value (tested
+against mpmath).  Deeper networks (``l > 2``) are handled by the layer recursion.
+Every public evaluator, ``rf_derivative`` included, goes through one path:
+it validates ``u`` once, on entry (NaN is rejected), then evaluates it in
+cache-sized blocks.  A seeded Monte-Carlo oracle estimates the defining Gaussian
 expectations directly and is used to validate the closed forms.
 
 A Gram matrix takes one n x n buffer: numpy computes ``X @ X.T`` as an
@@ -49,6 +53,31 @@ _SUPPORTED_S = (1, 2, 3)
 _BLOCK = 1 << 15
 
 
+#: The closed forms: ``kappa = (P(u) t + Q(u) S) / (D pi)`` with
+#: ``t = pi - arccos(u)`` and ``S = sin(arccos(u))``.  Each row holds the integer
+#: coefficients of P and Q, lowest degree first, and D; every P and Q is even or
+#: odd in u.  NT's row is ``u kappa_s' + kappa_s`` summed into one form.
+_FORMS = {
+    ("rf", 0): ((1,), (), 1),
+    ("rf", 1): ((0, 1), (1,), 1),
+    ("rf", 2): ((1, 0, 2), (0, 3), 3),
+    ("rf", 3): ((0, 9, 0, 6), (4, 0, 11), 15),  # by S^3 = S (1 - u^2)
+    ("nt", 1): ((0, 2), (1,), 1),
+    ("nt", 2): ((1, 0, 6), (0, 7), 3),
+    ("nt", 3): ((0, 18, 0, 24), (4, 0, 38), 15),
+}
+
+
+def _slope_row(s):
+    """``kappa_s' = (s^2/(2s-1)) kappa_{s-1}``: RF row s-1 with P and Q times s^2
+    and D times 2s-1."""
+    P, Q, D = _FORMS["rf", s - 1]
+    return tuple(s * s * c for c in P), tuple(s * s * c for c in Q), (2 * s - 1) * D
+
+
+_FORMS.update({("slope", s): _slope_row(s) for s in _SUPPORTED_S})
+
+
 def _as_ufloat(u, out=None):
     """Validate and clamp an inner-product argument.
 
@@ -76,51 +105,94 @@ def _as_ufloat(u, out=None):
     return np.atleast_1d(clamped), arr.ndim == 0
 
 
-def _kappa_pair(s, u, slope=True):
-    """``(kappa_s(u), kappa_s'(u) = (s^2/(2s-1)) * kappa_{s-1}(u))`` for a validated u.
+def _times_poly(coefs, u, u2, x, out=None):
+    """``P(u) * x`` for an even or odd P with integer coefficients, lowest degree
+    first: Horner's rule in ``u2 = u * u``, times u for odd P, times x.
+    Written into ``out``, which may be x itself; None gives a new array.
 
-    The closed forms for s >= 1 are polynomials in ``u``, ``pi - arccos(u)``
-    and ``sin(arccos(u))``, each computed once.  ``slope=False`` returns None
-    for the slope and also admits s = 0.
+    The order matters in the last bits: ``(x u) p(u2)`` would move the rf
+    s = 3 ``n_clamped`` of a benchmark spectrum
+    (``test_spectral.py::test_benchmark_clamp_counts_pinned``).
     """
-    if s not in range(int(slope), 4):
-        raise UnsupportedSmoothnessError(
-            f"no closed form for s={s}; supported s in {list(range(int(slope), 4))}"
-        )
-    theta = np.arccos(u)
-    k0 = 1.0 - theta / np.pi if s == 0 or (s == 1 and slope) else None
-    if s == 0:
-        return k0, None
-    t = np.subtract(np.pi, theta, out=theta)
-    # sin(theta) as sqrt((1-u)(1+u)) avoids cancellation near |u| = 1; both
-    # factors are >= 0 for u in [-1, 1]
-    sin_t = (1.0 - u) * (1.0 + u)
+    top, *rest = coefs[::-2]  # P's nonzero coefficients, highest degree first
+    odd = len(coefs) % 2 == 0
+    if not rest and top == 1:  # P = u or P = 1
+        return np.multiply(u, x, out=out) if odd else (x if out is x else x.copy())
+    p = top
+    for c in rest:
+        p = p * u2  # a new array on the first pass, so the in-place steps are safe
+        p += c
+    if odd:
+        p = top * u if not rest else np.multiply(p, u, out=p)
+    return np.multiply(p, x, out=p if out is None and (rest or odd) else out)
+
+
+def _form(row, u, u2, t, sin_t, out=None, consume=False):
+    """One closed form ``(P(u) t + Q(u) S) / (D pi)`` of ``_FORMS``, into ``out``
+    when it is given, else into a new array; ``consume`` lets it overwrite t
+    and S."""
+    P, Q, D = row
+    val = _times_poly(P, u, u2, t, t if consume else None)
+    if Q:
+        val += _times_poly(Q, u, u2, sin_t, sin_t if consume else None)
+    return np.divide(val, D * np.pi, out=val if out is None else out)
+
+
+def _rows(x, s, keys, out=None):
+    """The rows ``keys`` of ``_FORMS`` at power s on a validated block x.
+
+    ``t = pi - arccos(x)``, ``S = sin(arccos(x))`` and ``x^2`` are computed
+    once for all of them; the last row overwrites t and S and goes into
+    ``out`` when it is given, so one row takes four block buffers at most:
+    t, S, x^2 and one temporary.
+    """
+    t = np.arccos(x)
+    np.subtract(np.pi, t, out=t)
+    # S as sqrt((1-x)(1+x)) avoids cancellation near |x| = 1; both factors
+    # are >= 0 for x in [-1, 1]
+    sin_t = (1.0 - x) * (1.0 + x)
     np.sqrt(sin_t, out=sin_t)
-
-    def kappa(k):
-        if k == 0:
-            return k0
-        if k == 1:
-            return (u * t + sin_t) / np.pi
-        if k == 2:
-            return (3.0 * sin_t * u + t * (1.0 + 2.0 * u * u)) / (3.0 * np.pi)
-        return (
-            15.0 * sin_t - 11.0 * (sin_t * sin_t * sin_t) + t * (9.0 * u + 6.0 * (u * u * u))
-        ) / (15.0 * np.pi)
-
-    return kappa(s), s * s / (2.0 * s - 1.0) * kappa(s - 1) if slope else None
+    args = (x, x * x if s > 1 else None, t, sin_t)  # x^2 enters from s = 2 on
+    *first, last = keys
+    vals = [_form(_FORMS[key, s], *args) for key in first]
+    return vals + [_form(_FORMS[last, s], *args, out, consume=True)]
 
 
-def _layers(u, s, l, nt, c2):
-    """The depth-``l`` RF or NT layer recursion on a validated 1-D block of u."""
-    rf, d_rf = _kappa_pair(s, u, nt)
-    val = u * d_rf + rf if nt else rf
-    for _ in range(l - 2):
-        d_rf = None  # free the last layer's slope before the next evaluation
+def _layers(u, s, l, nt, c2, out):
+    """The depth-``l`` RF or NT layer recursion on a validated 1-D block of u,
+    written into ``out`` (which may be u) after the last read of u.
+
+    Layer 2 takes the NT or RF value from one row of ``_FORMS``; every later
+    layer takes the RF value and, for NT, the slope at the previous RF value.
+    Integer coefficients and one division by ``D pi`` last keep the absolute
+    error of every 2-layer form within about 2 eps kappa(1) of the exact
+    value (``test_kernels.py::TestClosedForms::test_matches_mpmath`` pins it
+    on a grid dense at u = +-1).
+    """
+    family = "nt" if nt else "rf"
+    if (family, s) not in _FORMS:
+        supported = sorted(k for f, k in _FORMS if f == family)
+        raise UnsupportedSmoothnessError(
+            f"no closed form for s={s}; supported s in {supported}"
+        )
+    if l == 2:
+        _rows(u, s, (family,), out)
+        return
+    if nt:
+        val, rf = _rows(u, s, ("nt", "rf"))
+    else:
+        rf, = _rows(u, s, ("rf",))
+    for layer in range(3, l + 1):
+        last = out if layer == l else None
         # rounding can lift a layer's value past 1, outside arccos's domain
-        rf, d_rf = _kappa_pair(s, np.clip(rf, -1.0, 1.0, out=rf), nt)
-        val = c2 * val * d_rf + rf if nt else rf
-    return val
+        x = np.clip(rf, -1.0, 1.0, out=rf)
+        if not nt:
+            rf, = _rows(x, s, ("rf",), last)
+            continue
+        rf, slope = _rows(x, s, ("rf", "slope"))
+        val *= c2
+        val *= slope
+        np.add(val, rf, out=val if last is None else last)
 
 
 def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
@@ -139,7 +211,7 @@ def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
     res = np.empty(flat.size) if out is None else out.reshape(-1)
     # at least one block, so that an empty u still has s checked
     for lo in range(0, flat.size or 1, _BLOCK):
-        res[lo:lo + _BLOCK] = _layers(flat[lo:lo + _BLOCK], s, l, nt, c2)
+        _layers(flat[lo:lo + _BLOCK], s, l, nt, c2, res[lo:lo + _BLOCK])
     if out is not None:
         return out
     return float(res[0]) if scalar else res.reshape(arr.shape)

@@ -163,7 +163,9 @@ def _chol_with_jitter(build):
     ``build`` returns a fresh, exactly symmetric, C-ordered matrix.  It is
     factored in place through its Fortran-ordered transpose, which holds the
     same numbers, so L shares its buffer.  A failed factorization leaves the
-    buffer overwritten, so each later rung calls ``build`` again.
+    buffer overwritten, so each later rung calls ``build`` again.  LAPACK gets
+    the buffer unchecked; a factor with a non-finite diagonal counts as a
+    failed rung.
     """
     A = build()
     n = A.shape[0]
@@ -174,9 +176,14 @@ def _chol_with_jitter(build):
             A = build()
             A.flat[:: n + 1] += level * scale
         try:
-            return cholesky(A.T, lower=True, overwrite_a=True), level * scale
+            L = cholesky(A.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             continue
+        # unchecked input: a NaN or inf in the triangle LAPACK reads reaches
+        # the diagonal of L (or fails the factorization), so this O(n) test
+        # stands in for the n x n one
+        if np.isfinite(L.diagonal()).all():
+            return L, level * scale
     ratio = float(np.max(diag) / np.min(diag))
     raise IllConditionedGramError(
         f"Cholesky failed for {n}x{n} system even with jitter "

@@ -117,6 +117,10 @@ class TestExitCodes:
          "lam must be positive with lam^2 a normal float, got 1e-160"),
         (["infogain", "--family", "nt", "--s", "1", "--lam", "1e200"],
          "lam must be positive with lam^2 a normal float, got 1e+200"),
+        (["infogain", "--family", "nt", "--s", "1", "--n", "8", "--lam", "1e8"],
+         "lam must be below about 9.49e7, where 1 + 1/lam^2 rounds to 1, got 100000000.0"),
+        (["sample-greedy", "--family", "nt", "--s", "1", "--lam", "1e8"],
+         "lam must be below about 9.49e7, where 1 + 1/lam^2 rounds to 1, got 100000000.0"),
         (["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--workers", "-3"],
          "workers must be >= 1, got -3"),
         (["spectrum", "--family", "nt", "--s", "1", "--workers", "0"],

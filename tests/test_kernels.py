@@ -56,6 +56,42 @@ class TestClosedForms:
     def test_scalar_returns_float(self):
         assert isinstance(rf_closed(1, 0.3), float)
 
+    def test_matches_mpmath(self):
+        """Every 2-layer closed form is within 2 eps kappa(1) of its exact value.
+
+        The reference is Cho and Saul's arc-cosine form
+        ``kappa_s = J_s(theta) / ((2s-1)!! pi)`` in sin and cos of
+        ``theta = arccos(u)``, at 40 digits, with
+        ``kappa_NT,s = u (s^2/(2s-1)) kappa_{s-1} + kappa_s``.  The grid adds
+        points within 1e-16..1e-1 of both ends, where t or S vanishes.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        delta = np.logspace(-16.0, -1.0, 100)
+        u = np.concatenate([np.linspace(-1.0, 1.0, 801), -1.0 + delta, 1.0 - delta])
+
+        def exact_rf(x):
+            th = mp.acos(mp.mpf(x))
+            c, sn, t = mp.cos(th), mp.sin(th), mp.pi - th
+            J = (t, sn + t * c, 3 * sn * c + t * (1 + 2 * c * c),
+                 4 * sn**3 + 15 * sn * c * c + t * (9 * sn * sn * c + 15 * c**3))
+            return [j / (df * mp.pi) for j, df in zip(J, (1, 1, 3, 15))]
+
+        rf = [exact_rf(x) for x in u]
+        eps = np.finfo(float).eps
+        for family, s in [("rf", 0), ("rf", 1), ("rf", 2), ("rf", 3),
+                          ("nt", 1), ("nt", 2), ("nt", 3)]:
+            if family == "rf":
+                got, exact = rf_closed(s, u), [k[s] for k in rf]
+            else:
+                slope = mp.mpf(s * s) / (2 * s - 1)
+                got = nt_two_layer(s, u)
+                exact = [x * slope * k[s - 1] + k[s] for x, k in zip(u, rf)]
+            err = max(abs(mp.mpf(g) - e) for g, e in zip(got, exact))
+            bound = 2.0 * eps * (rf_closed(s, 1.0) if family == "rf" else nt_two_layer(s, 1.0))
+            assert err <= bound, (family, s, float(err / bound))
+
 
 class TestDerivative:
     def test_matches_finite_differences(self):
@@ -81,11 +117,16 @@ class TestDerivative:
 
 class TestNeuralTangent:
     def test_definition(self):
-        """NT kernel equals u * kappa_s'(u) + kappa_s(u) pointwise."""
+        """NT kernel equals u * kappa_s'(u) + kappa_s(u) pointwise.
+
+        The two sides round differently where the sum cancels, at negative u,
+        so they agree to a few eps of kappa(1) there; ``test_matches_mpmath``
+        pins the accuracy of each."""
         u = np.linspace(-1.0, 1.0, 101)
         for s in (1, 2, 3):
             expected = u * rf_derivative(s, u) + rf_closed(s, u)
-            assert_allclose(nt_two_layer(s, u), expected, rtol=1e-14)
+            atol = 4.0 * np.finfo(float).eps * nt_two_layer(s, 1.0)
+            assert_allclose(nt_two_layer(s, u), expected, rtol=1e-14, atol=atol)
 
     def test_pinned_values(self):
         assert_allclose(nt_two_layer(1, 1.0), 2.0, rtol=1e-15)
@@ -294,13 +335,13 @@ class TestBlockedEvaluation:
         of s^2/(2s-1) * kappa_{s-1}(u)."""
         u = np.random.default_rng(5).uniform(-1.0, 1.0, (2, _BLOCK + 7))
         sizes = []
-        real = kernels._kappa_pair
+        real = kernels._layers
 
-        def spy(power, block, slope=True):
+        def spy(block, *args):
             sizes.append(block.size)
-            return real(power, block, slope)
+            return real(block, *args)
 
-        monkeypatch.setattr(kernels, "_kappa_pair", spy)
+        monkeypatch.setattr(kernels, "_layers", spy)
         got = rf_derivative(s, u)
         assert len(sizes) == 3 and max(sizes) <= _BLOCK
         assert _bits(got) == _bits(s * s / (2.0 * s - 1.0) * rf_closed(s - 1, u))

@@ -248,6 +248,19 @@ class TestJitterLadder:
         with pytest.raises(IllConditionedGramError, match=r"max/min 4\.000e\+00"):
             _chol_with_jitter(lambda: np.array([[1.0, 3.0], [3.0, 4.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("i, j", [(0, 1), (2, 3), (0, 0), (3, 3)])
+    def test_non_finite_entry_never_returns_a_factor(self, bad, i, j):
+        """LAPACK gets the buffer unchecked; a NaN or inf it reads, on or off the
+        diagonal, fails every rung instead of coming back inside L."""
+        def build():
+            A = np.eye(4) + 0.25
+            A[i, j] = A[j, i] = bad
+            return A
+
+        with pytest.raises(IllConditionedGramError):
+            _chol_with_jitter(build)
+
 
 class TestMemoryCeilings:
     """One n x n buffer per point set: the Gram, its shift and its factor share it."""
