@@ -18,11 +18,10 @@ from spherekern import (
 
 d = 3
 M = 40
-basis = GegenbauerBasis(d, M)
-print(f"quadrature orthogonality defect: {basis.orthogonality_defect():.2e}")
+print(f"quadrature orthogonality defect: {GegenbauerBasis(d, M).orthogonality_defect():.2e}")
 
-nt = mercer_spectrum(make_kernel("nt", 1, d=d), d, M, basis=basis)
-rf = mercer_spectrum(make_kernel("rf", 1, d=d), d, M, basis=basis)
+nt = mercer_spectrum(make_kernel("nt", 1, d=d), d, M)
+rf = mercer_spectrum(make_kernel("rf", 1, d=d), d, M)
 
 print("\nfirst eigenvalues (degree: nt, rf)")
 for i in range(8):
@@ -46,6 +45,6 @@ grid = np.linspace(-1.0, 1.0, 201)
 kernel = make_kernel("nt", 1, d=d)
 print("\ntruncation M: sup reconstruction error vs tail bound")
 for m in (10, 20, 40):
-    table = mercer_spectrum(kernel, d, m, basis=basis)
+    table = mercer_spectrum(kernel, d, m)
     sup = np.max(np.abs(reconstruct(table, grid) - kernel(grid)))
     print(f"  {m:>3}: {sup:.3e} <= {tail_sum('nt', 1, d, m):.3e}")

@@ -14,7 +14,8 @@ flag, ``true``/``false`` for a switch and a list of numbers for ``u``;
 ``null`` is accepted only where the default is null.  A value of another
 type is a configuration error.  So is a value out of range, found before
 any work starts: lam, lam2, nu, lengthscale and ridge must be finite and
-positive (lam^2 a normal float), noise_scale finite and non-negative,
+positive (lam within about 1.5e-154..6.7e153, where lam^2 and 1/lam^2
+are normal floats), noise_scale finite and non-negative,
 workers at least 1, parity even, odd or all, and degree_min (or its
 default) non-negative and no larger than degree_max and max_degree.
 
@@ -343,19 +344,10 @@ def cmd_matern_compare(cfg):
 
 
 def cmd_infogain(cfg):
-    from .regression import InfoGainReport, _infogain_summary, sample_sphere
+    from .regression import _infogain_summary, sample_sphere
 
     points = sample_sphere(cfg["d"], cfg["n"], cfg["seed"])
-    lam = cfg["lam"]
-    info, eff, lhs, rhs = _infogain_summary(_kernel(cfg), points, lam)
-    report = InfoGainReport(
-        n=cfg["n"],
-        info_gain=info,
-        effective_dim=eff,
-        lam=lam,
-        sum_variance=lhs,
-        bound_rhs=rhs,
-    )
+    report = _infogain_summary(_kernel(cfg), points, cfg["lam"])
     return report.to_csv(), lambda: report.to_json(config=cfg)
 
 

@@ -7,7 +7,7 @@ completed reliably (exit code 3).
 
 ``_in_range`` is the one finite-and-positive range rule: the library's
 float parameters go through it by ``_check_positive``, the CLI's by
-``cli._check_values``; ``_check_lam`` is the one rule for lam and lam^2.
+``cli._check_values``; ``_check_lam`` is the one range rule for lam.
 """
 
 from math import isfinite
@@ -77,14 +77,11 @@ def _check_positive(value, message, allow_zero=False):
 
 
 def _check_lam(lam):
-    """Raise ``ParameterError`` unless lam > 0 and lam^2 is a normal float: below
-    about 1.5e-154, 1/lam^2 in the variance-sum bound may overflow or divide by
-    zero; above about 1.3e154, lam^2 is infinite.  NaN fails both tests.  From
-    about 9.49e7 on, ``1 + 1/lam^2`` rounds to 1 and the bound's
-    ``log(1 + 1/lam^2)`` divides by zero, so such a lam fails as well."""
-    if not (lam > 0 and float_info.min <= lam * lam <= float_info.max):
-        raise ParameterError(f"lam must be positive with lam^2 a normal float, got {lam}")
-    if 1.0 + 1.0 / (lam * lam) == 1.0:
+    """Raise ``ParameterError`` unless lam > 0 with lam^2 and 1/lam^2 both normal
+    floats, about 1.5e-154 <= lam <= 6.7e153: the information-gain ledger
+    divides by lam^2 and takes log1p(1/lam^2).  NaN fails the test."""
+    if not (lam > 0 and float_info.min <= lam * lam <= 1.0 / float_info.min):
         raise ParameterError(
-            f"lam must be below about 9.49e7, where 1 + 1/lam^2 rounds to 1, got {lam}"
+            f"lam must be positive with lam^2 and 1/lam^2 normal floats "
+            f"(about 1.5e-154 <= lam <= 6.7e153), got {lam}"
         )

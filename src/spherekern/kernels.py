@@ -170,11 +170,6 @@ def _layers(u, s, l, nt, c2, out):
     on a grid dense at u = +-1).
     """
     family = "nt" if nt else "rf"
-    if (family, s) not in _FORMS:
-        supported = sorted(k for f, k in _FORMS if f == family)
-        raise UnsupportedSmoothnessError(
-            f"no closed form for s={s}; supported s in {supported}"
-        )
     if l == 2:
         _rows(u, s, (family,), out)
         return
@@ -196,7 +191,7 @@ def _layers(u, s, l, nt, c2, out):
 
 
 def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
-    """Validate ``u`` once, then run the layer recursion on it block by block.
+    """Validate ``u`` and ``s`` once, then run the layer recursion on u block by block.
 
     The recursion is elementwise, so evaluating the flattened ``u`` in blocks
     of ``_BLOCK`` entries gives the same bits as one pass while each block's
@@ -206,11 +201,16 @@ def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
     if l < 2:
         raise ConfigurationError(f"depth l must be >= 2, got {l}")
     arr, scalar = _as_ufloat(u, out)
+    family = "nt" if nt else "rf"
+    if (family, s) not in _FORMS:
+        supported = sorted(k for f, k in _FORMS if f == family)
+        raise UnsupportedSmoothnessError(
+            f"no closed form for s={s}; supported s in {supported}"
+        )
     c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
     flat = arr.ravel()
     res = np.empty(flat.size) if out is None else out.reshape(-1)
-    # at least one block, so that an empty u still has s checked
-    for lo in range(0, flat.size or 1, _BLOCK):
+    for lo in range(0, flat.size, _BLOCK):
         _layers(flat[lo:lo + _BLOCK], s, l, nt, c2, res[lo:lo + _BLOCK])
     if out is not None:
         return out

@@ -8,14 +8,18 @@ d_eff = Tr(K (K + lam^2 I)^{-1}), confidence bands with multiplier
 beta(delta) = B + (R/lam) sqrt(2 log(1/delta)), and greedy max-variance
 data collection over a candidate grid.
 
-All log-determinants come from Cholesky factors (sum of log-diagonals,
-doubled), never from raw determinants; information gain, effective
-dimension and the variance-sum bound of one point set share a single
-factor.  A point set's K + lam^2 I takes one n x n buffer from inner
-products to factor: ``kernels.gram`` writes the kernel values over the
-inner products, lam^2 goes onto that array's diagonal, and the lower
-factor overwrites it.  Only the effective dimension needs a second n x n
-array, the one L^{-1} is solved into.
+Information gain, effective dimension, the variance sum and its bound
+come from one ledger, :func:`_ledger`, over a point sequence's sequential
+variances sigma_{i-1}^2(x_i): the GP-UCB chain rule I = 1/2 sum_i
+log1p(sigma_{i-1}^2(x_i)/lam^2) (Srinivas et al., 2010) never subtracts
+nearly equal numbers, so every lam with lam^2 and 1/lam^2 normal floats
+gets full relative accuracy.  Greedy traces feed it from their growing
+factor, fixed point sets from one Cholesky factor.  A point set's
+K + lam^2 I takes one n x n buffer from inner products to factor:
+``kernels.gram`` writes the kernel values over the inner products, lam^2
+goes onto that array's diagonal, and the lower factor overwrites it.
+Only the effective dimension needs a second n x n array, the one L^{-1}
+is solved into.
 
 Greedy selection grows the inverse of the factor one row at a time and
 evaluates the kernel only on the rows of the points it selects, so an
@@ -192,17 +196,23 @@ def _chol_with_jitter(build):
 
 
 def _ridge_factor(kernel, points, lam2):
-    """``(L, jitter)``: lower Cholesky factor of gram(points) + lam2 I.
+    """``(L, jitter, k_diag)``: lower Cholesky factor of gram(points) + lam2 I,
+    the jitter it needed and the Gram diagonal it factored.
 
     lam2 goes onto the Gram's own diagonal and the factor overwrites it, so
     the Gram buffer is the only n x n array made.
     """
+    k_diag = None
+
     def build():
+        nonlocal k_diag
         A = gram(kernel, points)
+        k_diag = A.diagonal().copy()
         A.flat[:: A.shape[0] + 1] += lam2
         return A
 
-    return _chol_with_jitter(build)
+    L, jitter = _chol_with_jitter(build)
+    return L, jitter, k_diag
 
 
 def fit(kernel, dataset, lam):
@@ -215,7 +225,7 @@ def fit(kernel, dataset, lam):
     _check_lam(lam)
     if len(dataset) == 0:
         raise ConfigurationError("fit requires a non-empty dataset; use FittedRegressor.empty")
-    L, jitter = _ridge_factor(kernel, dataset.X, lam * lam)
+    L, jitter, _ = _ridge_factor(kernel, dataset.X, lam * lam)
     alpha = cho_solve((L, True), dataset.Y)
     return FittedRegressor(kernel, dataset.X, lam, L, alpha, jitter)
 
@@ -256,41 +266,75 @@ def confidence_band(model, x, params):
     return params.beta(model.lam) * np.sqrt(var)
 
 
-def _infogain_summary(kernel, points, lam, effective_dim=True):
-    """``(info_gain, effective_dim, sum_variance, bound_rhs)`` of one point set.
+def _ledger(variance, lam, lower=None):
+    """Per-prefix ``(info_gain, effective_dim, sum_variance, bound_rhs)`` arrays
+    of a point sequence.
 
-    One Gram and one Cholesky factor L of K + lam^2 I give all four:
-    log det from diag(L), Tr((K + lam^2 I)^{-1}) = ||L^{-1}||_F^2 from one
-    triangular solve, and the sequential variances sigma_{i-1}^2(x_i) =
-    L_ii^2 - lam^2 (see :func:`variance_sum_check`).  With
-    ``effective_dim=False`` the n x n triangular solve, which only the
-    effective dimension needs, is skipped and None returned in its place.
+    ``variance[i]`` is the sequential variance sigma_{i-1}^2(x_i), which
+    the ledger clamps at 0 in place (the one clamp these quantities get);
+    ``lower[i]`` is m_i, the squared norm of row i of L^{-1} left of its
+    diagonal, L the Cholesky factor of K + lam^2 I.  Because L_ii^2 =
+    sigma_{i-1}^2(x_i) + lam^2, after n points
+
+        info_gain     = 1/2 sum log1p(sigma^2 / lam^2)  = 1/2 log det(I + K/lam^2)
+        effective_dim = sum [sigma^2/(sigma^2 + lam^2) - lam^2 m_i]
+                      = n - lam^2 ||L^{-1}||_F^2        = Tr(K (K + lam^2 I)^{-1})
+        sum_variance  = sum sigma^2
+        bound_rhs     = 2 sum log1p(sigma^2 / lam^2) / log1p(1 / lam^2)
+
+    Every term is formed from sigma^2/lam^2, never from a difference with
+    n or n log lam, so no prefix cancels at large lam.  With ``lower=None``
+    the effective dimension is None.
+    """
+    var = np.maximum(variance, 0.0, out=variance)
+    lam2 = lam * lam
+    gain = np.cumsum(np.log1p(var / lam2))
+    eff = None if lower is None else np.cumsum(var / (var + lam2) - lam2 * lower)
+    return 0.5 * gain, eff, np.cumsum(var), 2.0 * gain / np.log1p(1.0 / lam2)
+
+
+def _strict_row_squares(T):
+    """Per row i, sum_{j<i} T_ij^2 of a lower-triangular T, which it squares
+    in place after zeroing the diagonal: no n x n temporary."""
+    np.fill_diagonal(T, 0.0)
+    return np.square(T, out=T).sum(axis=1)
+
+
+def _infogain_summary(kernel, points, lam, effective_dim=True):
+    """The :class:`InfoGainReport` of one point set, in its given order.
+
+    One Gram K and one Cholesky factor L of K + lam^2 I feed
+    :func:`_ledger`: the sequential variances are sigma_{i-1}^2(x_i) =
+    K_ii + jitter - sum_{j<i} L_ij^2, with K_ii the Gram diagonal that was
+    factored, and the row norms m_i come from L^{-1}, solved into a second
+    n x n buffer.  With ``effective_dim=False`` that solve, which only the
+    effective dimension needs, is skipped and the report's
+    ``effective_dim`` is None.
     """
     _check_lam(lam)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    lam2 = lam * lam
-    L, _ = _ridge_factor(kernel, points, lam2)
-    diag = np.diag(L)
-    half_logdet = float(np.sum(np.log(diag)) - n * log(lam))
-    eff = None
+    L, jitter, k_diag = _ridge_factor(kernel, points, lam * lam)
+    lower = None
     if effective_dim:
-        # the identity is solved and squared in place: a second n x n buffer
+        # the identity is solved in place: the second n x n buffer
         L_inv = solve_triangular(L, np.eye(n, order="F"), lower=True, overwrite_b=True)
-        eff = float(n - lam2 * np.sum(np.square(L_inv, out=L_inv)))
-    sum_variance = float(np.sum(diag * diag) - n * lam2)
-    bound_rhs = (2.0 / log(1.0 + 1.0 / lam2)) * (2.0 * half_logdet)
-    return max(half_logdet, 0.0), eff, sum_variance, bound_rhs
+        lower = _strict_row_squares(L_inv)
+    variance = k_diag + jitter - _strict_row_squares(L)
+    info, eff, sum_var, bound = (None if a is None else float(a[-1])
+                                 for a in _ledger(variance, lam, lower))
+    return InfoGainReport(n=n, info_gain=info, effective_dim=eff, lam=lam,
+                          sum_variance=sum_var, bound_rhs=bound)
 
 
 def information_gain(kernel, points, lam):
     """Mutual information I = 1/2 log det(I + K/lam^2) for points on the sphere."""
-    return _infogain_summary(kernel, points, lam, effective_dim=False)[0]
+    return _infogain_summary(kernel, points, lam, effective_dim=False).info_gain
 
 
 def effective_dimension(kernel, points, lam):
     """Effective dimension Tr(K (K + lam^2 I)^{-1}) = sum_j mu_j/(mu_j + lam^2)."""
-    return _infogain_summary(kernel, points, lam)[1]
+    return _infogain_summary(kernel, points, lam).effective_dim
 
 
 @dataclass(frozen=True)
@@ -353,7 +397,8 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     a fixed grid order; repetitions are permitted (a reselected point still
     carries lam^2 observation variance).  Returns a :class:`GreedyTrace`
     with the selection order, the variance at each selection, and per-prefix
-    information gain, effective dimension, and variance-sum bound.
+    information gain, effective dimension, and variance-sum bound, all from
+    :func:`_ledger`.
     """
     _check_lam(lam)
     grid = np.atleast_2d(np.asarray(candidate_grid, dtype=float))
@@ -366,25 +411,22 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     m = grid.shape[0]
     kappa_one = kernel.kappa_one
     lam2 = lam * lam
-    log_lam = log(lam)
 
     V = np.empty((n, m))
     L_inv = np.zeros((n, n))  # rows of the inverse of the growing factor
     sigma2 = np.full(m, kappa_one)
     sel = np.empty(n, dtype=np.int64)
-    sel_var = np.empty(n)
-    info = np.empty(n)
-    eff = np.empty(n)
-    sum_log_diag = 0.0
-    tr_inv = 0.0
+    variance = np.empty(n)
+    lower = np.empty(n)
 
     for i in range(n):
         j = int(np.argmax(sigma2))
         sel[i] = j
-        sel_var[i] = max(float(sigma2[j]), 0.0)
 
         v = V[:i, j]
-        schur = kappa_one + lam2 - float(v @ v)
+        vv = float(v @ v)
+        variance[i] = kappa_one - vv
+        schur = kappa_one + lam2 - vv
         if schur <= 0.0:
             raise IllConditionedGramError(
                 f"greedy step {i}: nonpositive Schur complement {schur:.3e}"
@@ -394,23 +436,18 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
         u = v @ L_inv[:i, :i]
         L_inv[i, :i] = -u / ell
         L_inv[i, i] = 1.0 / ell
+        lower[i] = float(u @ u) / schur
         k_row = kernel(np.clip(grid @ grid[j], -1.0, 1.0))
         V[i] = (k_row - v @ V[:i]) / ell
         sigma2 -= V[i] * V[i]
-        np.clip(sigma2, 0.0, None, out=sigma2)
+        np.clip(sigma2, 0.0, None, out=sigma2)  # for the argmax; the ledger clamps its own input
 
-        sum_log_diag += log(ell)
-        tr_inv += (float(u @ u) + 1.0) / schur
-        info[i] = sum_log_diag - (i + 1) * log_lam
-        eff[i] = (i + 1) - lam2 * tr_inv
-
-    sum_var = np.cumsum(sel_var)
-    bound = (2.0 / log(1.0 + 1.0 / lam2)) * (2.0 * info)
+    info, eff, sum_var, bound = _ledger(variance, lam, lower)
     return GreedyTrace(
         lam=lam,
         selected_indices=sel,
         selected_points=grid[sel],
-        selected_variance=sel_var,
+        selected_variance=variance,
         info_gain=info,
         effective_dim=eff,
         sum_variance=sum_var,
@@ -422,9 +459,11 @@ def variance_sum_check(kernel, points, lam):
     """Both sides of the total-uncertainty bound for a sequential point set.
 
     lhs is the sum of prior-to-selection variances sigma_{i-1}^2(x_i); rhs
-    is (2/log(1 + lam^{-2})) * log det(I + K_n/lam^2).  The identity
-    sigma_{i-1}^2(x_i) = L_ii^2 - lam^2 (L the Cholesky factor of
-    K + lam^2 I) turns both into one factorization.  lhs <= rhs holds for
-    every sequence; both values are returned for reporting.
+    is (2/log(1 + lam^{-2})) * log det(I + K_n/lam^2), the ledger's
+    2 sum log1p(sigma_{i-1}^2(x_i)/lam^2) / log1p(1/lam^2).  Both come from
+    the one Cholesky factor of :func:`_infogain_summary`, without its
+    effective-dimension solve.  lhs <= rhs holds for every sequence when
+    kappa(1) <= 2; both values are returned for reporting.
     """
-    return _infogain_summary(kernel, points, lam, effective_dim=False)[2:]
+    report = _infogain_summary(kernel, points, lam, effective_dim=False)
+    return report.sum_variance, report.bound_rhs

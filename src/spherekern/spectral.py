@@ -20,7 +20,7 @@ d = 2 the Gegenbauer weight degenerates (alpha = 0).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, exp, gamma, lgamma, log, pi, prod, sqrt
+from math import comb, exp, frexp, gamma, ldexp, lgamma, log, pi, prod, sqrt
 
 import numpy as np
 
@@ -154,11 +154,27 @@ def _degree_constants(d, M):
     C_i(1) and N_{d,i} are the exact :func:`gegenbauer_at_one` and
     :func:`multiplicity` as int64 (a ParameterError if they do not fit);
     :func:`addition_constant` reads c_{i,d} from here.
+
+    Gamma((d-2)/2) enters as ``m * 2**e`` (``frexp``) and 2 pi^{(d-2)/2} is
+    scaled by the same 2**-e.  Scaling both sides of the ratio by a power of
+    two is exact, so c_{i,d} keeps the bits of N Gamma / (2 pi^alpha C_i(1))
+    wherever that product was finite, and N Gamma no longer overflows at
+    d = 345.  From d = 346 on Gamma itself overflows, and c_{i,d} comes from
+    lgamma instead (to about 1e-13); from d = 441 on c_{i,d} is not a
+    finite float, a ParameterError.
     """
     d = int(d)  # Python floats in cfac, even for a numpy d
     at_one = _exact_table(gegenbauer_at_one, d, M)
     mult = _exact_table(multiplicity, d, M)
-    cfac = mult * gamma((d - 2) / 2.0) / (2.0 * pi ** ((d - 2) / 2.0) * at_one)
+    alpha = (d - 2) / 2.0
+    try:
+        m, e = frexp(gamma(alpha))
+        cfac = mult * m / (ldexp(2.0 * pi ** alpha, -e) * at_one)
+    except OverflowError:  # Gamma(alpha), from d = 346 on
+        with np.errstate(over="ignore"):
+            cfac = mult / at_one * np.exp(lgamma(alpha) - log(2.0) - alpha * log(pi))
+    if not np.isfinite(cfac).all():
+        raise ParameterError(f"addition-theorem constants at d={d} overflow the float range")
     return cfac, at_one, mult
 
 
@@ -291,46 +307,37 @@ class SpectrumTable(JsonReport):
         return np.arange(self.eigenvalues.size)
 
 
-def mercer_spectrum(kernel, d, M, basis=None, provenance=None):
+def mercer_spectrum(kernel, d, M):
     """Project a dot-product kernel onto the Gegenbauer basis.
 
     Parameters
     ----------
     kernel : callable
         Vectorized map u -> kappa(u) on [-1, 1]; typically a
-        :class:`~spherekern.kernels.DotProductKernel`.
+        :class:`~spherekern.kernels.DotProductKernel`, whose family names
+        the provenance (any other callable is ``numerical-custom``).
     d : int >= 3
         Sphere dimension parameter (inputs live on S^{d-1}).
     M : int
-        Largest degree to compute.
-    basis : GegenbauerBasis, optional
-        Reused quadrature; must satisfy ``basis.max_degree >= M`` and match d.
-    provenance : str, optional
-        Overrides the provenance tag; inferred for DotProductKernel inputs.
+        Largest degree to compute.  The quadrature of a :class:`GegenbauerBasis`
+        of degree M is built once per (d, M) and shared.
 
     Raises
     ------
     SpectralAccuracyError
         If a projected eigenvalue is more negative than -1e-10 times the
         degree-0 eigenvalue, or the reconstructed kernel mass overshoots
-        kappa(1); both indicate insufficient quadrature for the requested M.
+        kappa(1) or is NaN; both indicate insufficient quadrature for the
+        requested M.
     """
-    if basis is None:
-        basis = GegenbauerBasis(d, M)
-    if basis.d != d:
-        raise ConfigurationError(f"basis dimension {basis.d} does not match d={d}")
-    if basis.max_degree < M:
-        raise ConfigurationError(
-            f"basis max_degree {basis.max_degree} < requested M={M}"
-        )
-    if provenance is None:
-        if isinstance(kernel, DotProductKernel):
-            provenance = "numerical-NT" if kernel.spec.family == "nt" else "numerical-RF"
-        else:
-            provenance = "numerical-custom"
+    basis = GegenbauerBasis(d, M)
+    if isinstance(kernel, DotProductKernel):
+        provenance = "numerical-NT" if kernel.spec.family == "nt" else "numerical-RF"
+    else:
+        provenance = "numerical-custom"
 
     values = kernel(basis.nodes)
-    b = basis.project(values, M)
+    b = basis.project(values)
     cfac, at_one, mult = _degree_constants(d, M)
     lam = b / cfac
 
@@ -349,9 +356,9 @@ def mercer_spectrum(kernel, d, M, basis=None, provenance=None):
 
     mass = float(np.sum(lam * cfac * at_one))
     kappa_one = float(kernel(np.array(1.0)))
-    if mass > kappa_one + 1e-6:
+    if not mass <= kappa_one + 1e-6:  # a NaN mass fails too
         raise SpectralAccuracyError(
-            f"reconstructed mass {mass:.9f} exceeds kappa(1)={kappa_one:.9f}; "
+            f"reconstructed mass {mass:.9f} is not at most kappa(1)={kappa_one:.9f}; "
             "increase quadrature order"
         )
 

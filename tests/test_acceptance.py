@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from spherekern import (
-    GegenbauerBasis,
     MaternSpec,
     McOracleConfig,
     eigendecay_fit,
@@ -45,26 +44,18 @@ MAX_DEGREE = 60
 
 
 @pytest.fixture(scope="module")
-def basis60():
-    return GegenbauerBasis(D_SPHERE, MAX_DEGREE)
+def nt1_table():
+    return mercer_spectrum(make_kernel("nt", 1, d=D_SPHERE), D_SPHERE, MAX_DEGREE)
 
 
 @pytest.fixture(scope="module")
-def nt1_table(basis60):
-    return mercer_spectrum(make_kernel("nt", 1, d=D_SPHERE), D_SPHERE, MAX_DEGREE,
-                           basis=basis60)
+def rf1_table():
+    return mercer_spectrum(make_kernel("rf", 1, d=D_SPHERE), D_SPHERE, MAX_DEGREE)
 
 
 @pytest.fixture(scope="module")
-def rf1_table(basis60):
-    return mercer_spectrum(make_kernel("rf", 1, d=D_SPHERE), D_SPHERE, MAX_DEGREE,
-                           basis=basis60)
-
-
-@pytest.fixture(scope="module")
-def nt2_table(basis60):
-    return mercer_spectrum(make_kernel("nt", 2, d=D_SPHERE), D_SPHERE, MAX_DEGREE,
-                           basis=basis60)
+def nt2_table():
+    return mercer_spectrum(make_kernel("nt", 2, d=D_SPHERE), D_SPHERE, MAX_DEGREE)
 
 
 @pytest.fixture(scope="module")

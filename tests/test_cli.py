@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from spherekern import (
     effective_dimension,
+    gram,
     information_gain,
     make_kernel,
     regression,
@@ -17,6 +18,7 @@ from spherekern import cli
 from spherekern.cli import build_parser, main, resolve_config
 from spherekern.errors import ConfigurationError
 from test_acceptance import CLI_CASES
+from test_regression import _LEDGER_FIELDS, _mp_ledger
 
 
 def run_cli(*args, **kwargs):
@@ -34,6 +36,10 @@ SMALL_ERROR_RATE = (
     "error-rate", "--family", "nt", "--s", "1", "--d", "3",
     "--reps", "2", "--max-exp", "5", "--eval-sample", "500",
 )
+
+
+_LAM_RANGE = ("lam must be positive with lam^2 and 1/lam^2 normal floats "
+              "(about 1.5e-154 <= lam <= 6.7e153), got ")
 
 
 def payload_of(text):
@@ -67,6 +73,23 @@ class TestExitCodes:
                       "--degree-min", "9", "--degree-max", "23")
         assert res.returncode == 3
         assert "FitError" in res.stderr
+
+    @pytest.mark.parametrize("d", [345, 346])
+    def test_spectrum_at_large_d_keeps_every_degree(self, d):
+        """N Gamma((d-2)/2) overflows at d = 345 and Gamma itself at d = 346;
+        neither zeroes a degree nor ends the command."""
+        res = run_cli("spectrum", "--family", "nt", "--s", "1", "--d", d,
+                      "--max-degree", "2")
+        assert res.returncode == 0 and res.stderr == ""
+        assert all(v > 0.0 for v in payload_of(res.stdout)["eigenvalues"])
+
+    def test_spectrum_past_the_float_range_is_two(self):
+        res = run_cli("spectrum", "--family", "nt", "--s", "1", "--d", "441",
+                      "--max-degree", "2")
+        assert res.returncode == 2
+        assert res.stderr == (
+            "ParameterError: addition-theorem constants at d=441 overflow the float range\n"
+        )
 
     def test_nan_inner_product_is_two(self):
         """NaN is a domain error, not a value that reaches the JSON payload."""
@@ -110,17 +133,17 @@ class TestExitCodes:
         (["matern-compare", "--s", "1", "--nu", "1.5", "--parity", "foo"],
          "parity must be 'even', 'odd' or 'all', got 'foo'"),
         (["infogain", "--family", "nt", "--s", "1", "--lam", "1e-200"],
-         "lam must be positive with lam^2 a normal float, got 1e-200"),
+         _LAM_RANGE + "1e-200"),
         (["sample-greedy", "--family", "nt", "--s", "1", "--lam", "1e-200"],
-         "lam must be positive with lam^2 a normal float, got 1e-200"),
+         _LAM_RANGE + "1e-200"),
         (["infogain", "--family", "nt", "--s", "1", "--lam", "1e-160"],
-         "lam must be positive with lam^2 a normal float, got 1e-160"),
+         _LAM_RANGE + "1e-160"),
         (["infogain", "--family", "nt", "--s", "1", "--lam", "1e200"],
-         "lam must be positive with lam^2 a normal float, got 1e+200"),
-        (["infogain", "--family", "nt", "--s", "1", "--n", "8", "--lam", "1e8"],
-         "lam must be below about 9.49e7, where 1 + 1/lam^2 rounds to 1, got 100000000.0"),
-        (["sample-greedy", "--family", "nt", "--s", "1", "--lam", "1e8"],
-         "lam must be below about 9.49e7, where 1 + 1/lam^2 rounds to 1, got 100000000.0"),
+         _LAM_RANGE + "1e+200"),
+        (["infogain", "--family", "nt", "--s", "1", "--n", "8", "--lam", "1e154"],
+         _LAM_RANGE + "1e+154"),
+        (["sample-greedy", "--family", "nt", "--s", "1", "--lam", "1e154"],
+         _LAM_RANGE + "1e+154"),
         (["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--workers", "-3"],
          "workers must be >= 1, got -3"),
         (["spectrum", "--family", "nt", "--s", "1", "--workers", "0"],
@@ -403,6 +426,19 @@ class TestReports:
         }
         for key, value in expected.items():
             assert_allclose(payload[key], value, rtol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize("lam", ["1e7", "9e7", "1e8"])
+    def test_infogain_exact_at_large_lam(self, lam, tmp_path):
+        """Every field within 1e-12 of its 60-digit value, where log det - n log lam
+        and L_ii^2 - lam^2 would cancel; the variance sum stays below n kappa(1)."""
+        out = tmp_path / "report.json"
+        assert main(["infogain", "--family", "nt", "--s", "1", "--n", "8",
+                     "--lam", lam, "--out", str(out)]) == 0
+        payload = payload_of(out.read_text())
+        K = gram(make_kernel("nt", 1), sample_sphere(3, 8, 0))
+        for key, value in zip(_LEDGER_FIELDS, _mp_ledger(K, float(lam))):
+            assert_allclose(payload[key], value, rtol=1e-12, err_msg=key)
+        assert 0.0 < payload["info_gain"] and payload["sum_variance"] <= 16.0
 
     def test_out_writes_file_and_keeps_stdout_quiet(self, tmp_path):
         out = tmp_path / "report.json"

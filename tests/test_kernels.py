@@ -357,6 +357,15 @@ class TestBlockedEvaluation:
         with pytest.raises(UnsupportedSmoothnessError):
             rf_closed(4, np.array([]))
 
+    def test_smoothness_checked_before_the_blocks(self, monkeypatch):
+        """s is checked once per call, so an empty u runs no block at all."""
+        calls = []
+        monkeypatch.setattr(kernels, "_layers", lambda *args: calls.append(args))
+        assert rf_closed(2, np.array([])).shape == (0,)
+        with pytest.raises(UnsupportedSmoothnessError):
+            rf_closed(4, np.array([0.5]))
+        assert not calls
+
     def test_nan_in_last_block_raises_and_input_stays(self):
         u = np.linspace(-1.0, 1.0, 2 * _BLOCK + 3)
         u[0] = 1.0 + 1e-13

@@ -61,11 +61,12 @@ def test_range_checks_reject_nan_inf_and_negative(entry, value):
         _RANGE_CHECKS[entry](value)
 
 
-@pytest.mark.parametrize("lam", [1e-200, 1e-160, 1e200])
+@pytest.mark.parametrize("lam", [1e-200, 1e-160, 1e154, 1e200])
 @pytest.mark.parametrize("entry", sorted(e for e in _RANGE_CHECKS if e.endswith(".lam")))
 def test_lam_square_must_be_a_normal_float(entry, lam):
-    """lam^2 of 0 (1e-200), subnormal (1e-160) or inf (1e200) is a ParameterError."""
-    with pytest.raises(ParameterError, match=r"lam\^2 a normal float"):
+    """lam^2 of 0 (1e-200), subnormal (1e-160) or inf (1e200), or 1/lam^2
+    subnormal (1e154), is a ParameterError."""
+    with pytest.raises(ParameterError, match=r"lam\^2 and 1/lam\^2 normal floats"):
         _RANGE_CHECKS[entry](lam)
 
 
@@ -668,3 +669,66 @@ class TestVarianceSumCheck:
             model = fit(k, SphericalDataset(pts[:i], np.zeros(i)), lam)
             total += predict_variance(model, pts[i])
         assert_allclose(lhs, total, rtol=1e-8)
+
+
+def _mp_ledger(K, lam):
+    """``(info_gain, effective_dim, sum_variance, bound_rhs)`` of the float
+    matrix K at 60 digits, from the definitions: 1/2 log det(I + K/lam^2),
+    n - lam^2 Tr((K + lam^2 I)^{-1}), the sum of L_ii^2 - lam^2 over the
+    Cholesky factor L of K + lam^2 I, and 2 log det(I + K/lam^2) /
+    log1p(1/lam^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    n = K.shape[0]
+    lam2 = mp.mpf(float(lam)) ** 2
+    A = mp.matrix([[mp.mpf(float(v)) for v in row] for row in K]) + lam2 * mp.eye(n)
+    L = mp.cholesky(A)
+    variance = [L[i, i] ** 2 - lam2 for i in range(n)]
+    logdet = mp.fsum(mp.log1p(v / lam2) for v in variance)
+    A_inv = mp.inverse(A)
+    eff = n - lam2 * mp.fsum(A_inv[i, i] for i in range(n))
+    return tuple(float(x) for x in
+                 (logdet / 2, eff, mp.fsum(variance), 2 * logdet / mp.log1p(1 / lam2)))
+
+
+def _greedy_gram(kernel, grid, selected):
+    """The matrix greedy_max_variance factors: kappa(1) on the diagonal and,
+    below it, entry (k, i) from the kernel row of selection i."""
+    n = len(selected)
+    K = np.full((n, n), kernel.kappa_one)
+    for i in range(n):
+        row = kernel(np.clip(grid @ grid[selected[i]], -1.0, 1.0))[selected]
+        K[i + 1:, i] = K[i, i + 1:] = row[i + 1:]
+    return K
+
+
+_LEDGER_FIELDS = ("info_gain", "effective_dim", "sum_variance", "bound_rhs")
+_LEDGER_KERNELS = [("nt", 1), ("nt", 2), ("rf", 3)]
+_LEDGER_LAMS = [0.1, 1.0, 1e4, 1e7, 9e7, 1e8]
+
+
+class TestLedger:
+    """Information gain, effective dimension, variance sum and bound from one
+    chain-rule ledger: exact to 1e-12 at every lam, also from lam = 1e7 on,
+    where log det - n log lam and L_ii^2 - lam^2 would cancel every digit."""
+
+    @pytest.mark.parametrize("lam", _LEDGER_LAMS)
+    @pytest.mark.parametrize("family, s", _LEDGER_KERNELS)
+    def test_point_set_matches_mpmath(self, family, s, lam):
+        kernel = make_kernel(family, s)
+        points = sample_sphere(3, 8, 21)
+        report = regression._infogain_summary(kernel, points, lam)
+        exact = _mp_ledger(kernels.gram(kernel, points), lam)
+        for name, value in zip(_LEDGER_FIELDS, exact):
+            assert_allclose(getattr(report, name), value, rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("lam", _LEDGER_LAMS)
+    @pytest.mark.parametrize("family, s", _LEDGER_KERNELS)
+    def test_greedy_last_prefix_matches_mpmath(self, family, s, lam):
+        kernel = make_kernel(family, s)
+        grid = sample_sphere(3, 64, 22)
+        trace = greedy_max_variance(kernel, grid, 8, lam)
+        exact = _mp_ledger(_greedy_gram(kernel, grid, trace.selected_indices), lam)
+        for name, value in zip(_LEDGER_FIELDS, exact):
+            assert_allclose(getattr(trace, name)[-1], value, rtol=1e-12, err_msg=name)

@@ -10,6 +10,7 @@ from spherekern import (
     GegenbauerBasis,
     MaternSpec,
     ParameterError,
+    SpectralAccuracyError,
     SpectrumTable,
     UnsupportedDimensionError,
     addition_constant,
@@ -37,23 +38,18 @@ from spherekern.spectral import (
 
 
 @pytest.fixture(scope="module")
-def basis60():
-    return GegenbauerBasis(3, 60)
+def nt1_table():
+    return mercer_spectrum(make_kernel("nt", 1), 3, 60)
 
 
 @pytest.fixture(scope="module")
-def nt1_table(basis60):
-    return mercer_spectrum(make_kernel("nt", 1), 3, 60, basis=basis60)
+def rf1_table():
+    return mercer_spectrum(make_kernel("rf", 1), 3, 60)
 
 
 @pytest.fixture(scope="module")
-def rf1_table(basis60):
-    return mercer_spectrum(make_kernel("rf", 1), 3, 60, basis=basis60)
-
-
-@pytest.fixture(scope="module")
-def nt2_table(basis60):
-    return mercer_spectrum(make_kernel("nt", 2), 3, 60, basis=basis60)
+def nt2_table():
+    return mercer_spectrum(make_kernel("nt", 2), 3, 60)
 
 
 @pytest.fixture(scope="module")
@@ -253,8 +249,41 @@ class TestDegreeConstants:
         with pytest.raises(ParameterError, match="int64"):
             matern_spectrum(MaternSpec(1.5, 40), 400)
 
+    @pytest.mark.parametrize("d", [344, 345, 346, 400, 440])
+    def test_large_d_matches_mpmath(self, d):
+        """N_{d,i} Gamma((d-2)/2) overflows from d = 343 at M = 2 and Gamma
+        itself from d = 346, but c_{i,d} is finite up to d = 440: exact to 1e-12."""
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        alpha = mp.mpf(d - 2) / 2
+        exact = [multiplicity(d, i) * mp.gamma(alpha)
+                 / (2 * mp.pi ** alpha * gegenbauer_at_one(d, i)) for i in range(3)]
+        assert_allclose(_degree_constants(d, 2)[0], [float(c) for c in exact], rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [441, 500, 2000])
+    def test_overflowing_d_is_a_parameter_error(self, d):
+        with pytest.raises(ParameterError, match=f"at d={d} overflow"):
+            _degree_constants(d, 2)
+
 
 class TestMercerSpectrum:
+    @pytest.mark.parametrize("d", [345, 346])
+    def test_large_d_keeps_every_degree(self, d):
+        """No eigenvalue is zeroed by an overflowing constant: each degree's
+        share of kappa(1), lam_i c_{i,d} C_i(1), moves by under 1e-4 from d = 344."""
+        def shares(dim):
+            table = mercer_spectrum(make_kernel("nt", 1, d=dim), dim, 2)
+            cfac, at_one, _ = _degree_constants(dim, 2)
+            assert np.all(table.eigenvalues > 0.0)
+            return table.eigenvalues * cfac * at_one
+
+        assert_allclose(shares(d), shares(344), rtol=1e-4)
+
+    def test_nan_mass_fails_the_mass_check(self):
+        with pytest.raises(SpectralAccuracyError, match="mass nan"):
+            mercer_spectrum(lambda u: np.full_like(u, np.nan), 3, 4)
+
     def test_linear_kernel_is_pure_degree_one(self):
         """kappa(u) = u has all mass at degree 1 with eigenvalue 2/3 (d = 3)."""
         table = mercer_spectrum(lambda u: u, 3, 5)
@@ -280,12 +309,6 @@ class TestMercerSpectrum:
                 for i in range(table.max_degree + 1)
             )
             assert mass <= kappa1 + 1e-6
-
-    def test_basis_must_cover_requested_degree(self, basis60):
-        with pytest.raises(ConfigurationError):
-            mercer_spectrum(make_kernel("rf", 1), 3, 80, basis=basis60)
-        with pytest.raises(ConfigurationError):
-            mercer_spectrum(make_kernel("rf", 1), 4, 10, basis=basis60)
 
     def test_rejects_d2(self):
         with pytest.raises(UnsupportedDimensionError):
