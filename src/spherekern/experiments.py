@@ -245,7 +245,7 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
         size = int(sizes[-1])
         P = sample_sphere(d, size, [rep_seed, SALT_TRAIN, *salt])
         noise = np.random.default_rng([rep_seed, SALT_NOISE, *salt]).standard_normal(size)
-        L, _, _ = _ridge_factor(kernel, P, train_lam2)
+        L, _ = _ridge_factor(kernel, P, train_lam2)
         # no n^2 finiteness masks: cholesky checked L's input, the rhs is kernel values and noise
         z = solve_triangular(L, target(P) + noise * noise_scale, lower=True, check_finite=False)
         Z = np.where(np.arange(size)[:, None] < sizes, z[:, None], 0.0)

@@ -169,16 +169,18 @@ def _chol_with_jitter(build):
     same numbers, so L shares its buffer.  A failed factorization leaves the
     buffer overwritten, so each later rung calls ``build`` again.  LAPACK gets
     the buffer unchecked; a factor with a non-finite diagonal counts as a
-    failed rung.
+    failed rung.  The jitter scale trace/n is formed only for a failed rung,
+    so the first rung's jitter is exactly 0.0 even where the trace overflows.
     """
     A = build()
     n = A.shape[0]
     diag = A.diagonal().copy()
-    scale = float(np.trace(A)) / max(n, 1)
     for level in JITTER_LADDER:
+        jitter = 0.0
         if level > 0.0:  # the failed rung before this one overwrote A
+            jitter = level * (float(diag.sum()) / max(n, 1))
             A = build()
-            A.flat[:: n + 1] += level * scale
+            A.flat[:: n + 1] += jitter
         try:
             L = cholesky(A.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -187,7 +189,7 @@ def _chol_with_jitter(build):
         # the diagonal of L (or fails the factorization), so this O(n) test
         # stands in for the n x n one
         if np.isfinite(L.diagonal()).all():
-            return L, level * scale
+            return L, jitter
     ratio = float(np.max(diag) / np.min(diag))
     raise IllConditionedGramError(
         f"Cholesky failed for {n}x{n} system even with jitter "
@@ -196,23 +198,17 @@ def _chol_with_jitter(build):
 
 
 def _ridge_factor(kernel, points, lam2):
-    """``(L, jitter, k_diag)``: lower Cholesky factor of gram(points) + lam2 I,
-    the jitter it needed and the Gram diagonal it factored.
+    """``(L, jitter)``: lower Cholesky factor of gram(points) + lam2 I.
 
     lam2 goes onto the Gram's own diagonal and the factor overwrites it, so
     the Gram buffer is the only n x n array made.
     """
-    k_diag = None
-
     def build():
-        nonlocal k_diag
         A = gram(kernel, points)
-        k_diag = A.diagonal().copy()
         A.flat[:: A.shape[0] + 1] += lam2
         return A
 
-    L, jitter = _chol_with_jitter(build)
-    return L, jitter, k_diag
+    return _chol_with_jitter(build)
 
 
 def fit(kernel, dataset, lam):
@@ -225,7 +221,7 @@ def fit(kernel, dataset, lam):
     _check_lam(lam)
     if len(dataset) == 0:
         raise ConfigurationError("fit requires a non-empty dataset; use FittedRegressor.empty")
-    L, jitter, _ = _ridge_factor(kernel, dataset.X, lam * lam)
+    L, jitter = _ridge_factor(kernel, dataset.X, lam * lam)
     alpha = cho_solve((L, True), dataset.Y)
     return FittedRegressor(kernel, dataset.X, lam, L, alpha, jitter)
 
@@ -314,7 +310,16 @@ def _infogain_summary(kernel, points, lam, effective_dim=True):
     _check_lam(lam)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n = points.shape[0]
-    L, jitter, k_diag = _ridge_factor(kernel, points, lam * lam)
+    k_diag = None
+
+    def build():  # the ridge matrix of _ridge_factor, keeping the diagonal of K
+        nonlocal k_diag
+        A = gram(kernel, points)
+        k_diag = A.diagonal().copy()
+        A.flat[:: n + 1] += lam * lam
+        return A
+
+    L, jitter = _chol_with_jitter(build)
     lower = None
     if effective_dim:
         # the identity is solved in place: the second n x n buffer

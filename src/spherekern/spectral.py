@@ -20,7 +20,8 @@ d = 2 the Gegenbauer weight degenerates (alpha = 0).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, exp, frexp, gamma, ldexp, lgamma, log, pi, prod, sqrt
+from math import comb, exp, gamma, lgamma, log, pi, prod, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -155,23 +156,21 @@ def _degree_constants(d, M):
     :func:`multiplicity` as int64 (a ParameterError if they do not fit);
     :func:`addition_constant` reads c_{i,d} from here.
 
-    Gamma((d-2)/2) enters as ``m * 2**e`` (``frexp``) and 2 pi^{(d-2)/2} is
-    scaled by the same 2**-e.  Scaling both sides of the ratio by a power of
-    two is exact, so c_{i,d} keeps the bits of N Gamma / (2 pi^alpha C_i(1))
-    wherever that product was finite, and N Gamma no longer overflows at
-    d = 345.  From d = 346 on Gamma itself overflows, and c_{i,d} comes from
-    lgamma instead (to about 1e-13); from d = 441 on c_{i,d} is not a
-    finite float, a ParameterError.
+    c_{i,d} = N Gamma((d-2)/2) / (2 pi^{(d-2)/2} C_i(1)).  Where N Gamma
+    overflows (at degree 2 from d = 341, Gamma itself from d = 346), the
+    table comes from lgamma instead, to about 1e-13.  From d = 441 on
+    c_{i,d} is not a finite float, a ParameterError.
     """
     d = int(d)  # Python floats in cfac, even for a numpy d
     at_one = _exact_table(gegenbauer_at_one, d, M)
     mult = _exact_table(multiplicity, d, M)
     alpha = (d - 2) / 2.0
-    try:
-        m, e = frexp(gamma(alpha))
-        cfac = mult * m / (ldexp(2.0 * pi ** alpha, -e) * at_one)
-    except OverflowError:  # Gamma(alpha), from d = 346 on
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        try:
+            cfac = mult * gamma(alpha) / (2.0 * pi ** alpha * at_one)
+        except OverflowError:  # Gamma itself
+            cfac = np.array(np.inf)
+        if not np.isfinite(cfac).all():
             cfac = mult / at_one * np.exp(lgamma(alpha) - log(2.0) - alpha * log(pi))
     if not np.isfinite(cfac).all():
         raise ParameterError(f"addition-theorem constants at d={d} overflow the float range")
@@ -329,6 +328,9 @@ def mercer_spectrum(kernel, d, M):
         degree-0 eigenvalue, or the reconstructed kernel mass overshoots
         kappa(1) or is NaN; both indicate insufficient quadrature for the
         requested M.
+    ParameterError
+        If a positive eigenvalue is a subnormal float, which keeps fewer
+        than 53 bits (for NT/RF kernels, from d of about 435 on).
     """
     basis = GegenbauerBasis(d, M)
     if isinstance(kernel, DotProductKernel):
@@ -353,6 +355,12 @@ def mercer_spectrum(kernel, d, M):
     negatives = lam < 0.0
     n_clamped = int(negatives.sum())
     lam = np.where(negatives, 0.0, lam)
+    subnormal = (lam > 0.0) & (lam < float_info.min)
+    if subnormal.any():
+        raise ParameterError(
+            f"eigenvalues at d={d} underflow to subnormal floats "
+            f"from degree {int(np.argmax(subnormal))}"
+        )
 
     mass = float(np.sum(lam * cfac * at_one))
     kappa_one = float(kernel(np.array(1.0)))

@@ -83,13 +83,15 @@ class TestExitCodes:
         assert res.returncode == 0 and res.stderr == ""
         assert all(v > 0.0 for v in payload_of(res.stdout)["eigenvalues"])
 
-    def test_spectrum_past_the_float_range_is_two(self):
-        res = run_cli("spectrum", "--family", "nt", "--s", "1", "--d", "441",
+    @pytest.mark.parametrize("d, message", [
+        (435, "eigenvalues at d=435 underflow to subnormal floats from degree 2"),
+        (441, "addition-theorem constants at d=441 overflow the float range"),
+    ])
+    def test_spectrum_past_the_float_range_is_two(self, d, message):
+        res = run_cli("spectrum", "--family", "nt", "--s", "1", "--d", d,
                       "--max-degree", "2")
         assert res.returncode == 2
-        assert res.stderr == (
-            "ParameterError: addition-theorem constants at d=441 overflow the float range\n"
-        )
+        assert res.stderr == f"ParameterError: {message}\n"
 
     def test_nan_inner_product_is_two(self):
         """NaN is a domain error, not a value that reaches the JSON payload."""
@@ -427,7 +429,7 @@ class TestReports:
         for key, value in expected.items():
             assert_allclose(payload[key], value, rtol=1e-12, err_msg=key)
 
-    @pytest.mark.parametrize("lam", ["1e7", "9e7", "1e8"])
+    @pytest.mark.parametrize("lam", ["1e7", "9e7", "1e8", "6e153"])
     def test_infogain_exact_at_large_lam(self, lam, tmp_path):
         """Every field within 1e-12 of its 60-digit value, where log det - n log lam
         and L_ii^2 - lam^2 would cancel; the variance sum stays below n kappa(1)."""

@@ -70,6 +70,13 @@ def test_lam_square_must_be_a_normal_float(entry, lam):
         _RANGE_CHECKS[entry](lam)
 
 
+def test_fit_at_the_top_of_the_lam_range_needs_no_jitter():
+    """n lam^2 overflows at lam = 6e153, so the jitter scale trace/n is inf;
+    a factor that succeeds on the first rung reports jitter 0.0, not 0 * inf."""
+    model = fit(_NT1, SphericalDataset(sample_sphere(3, 8, 0), np.zeros(8)), 6e153)
+    assert model.jitter == 0.0
+
+
 class TestSphericalDataset:
     def test_holds_data(self):
         ds = SphericalDataset(np.eye(3), [1.0, 2.0, 3.0], noise_scale=0.2)
@@ -673,13 +680,13 @@ class TestVarianceSumCheck:
 
 def _mp_ledger(K, lam):
     """``(info_gain, effective_dim, sum_variance, bound_rhs)`` of the float
-    matrix K at 60 digits, from the definitions: 1/2 log det(I + K/lam^2),
-    n - lam^2 Tr((K + lam^2 I)^{-1}), the sum of L_ii^2 - lam^2 over the
-    Cholesky factor L of K + lam^2 I, and 2 log det(I + K/lam^2) /
-    log1p(1/lam^2)."""
+    matrix K at 60 digits beyond those of lam^2, from the definitions:
+    1/2 log det(I + K/lam^2), n - lam^2 Tr((K + lam^2 I)^{-1}), the sum of
+    L_ii^2 - lam^2 over the Cholesky factor L of K + lam^2 I, and
+    2 log det(I + K/lam^2) / log1p(1/lam^2)."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
-    mp.dps = 60
+    mp.dps = 60 + max(0, int(2 * np.log10(lam)))
     n = K.shape[0]
     lam2 = mp.mpf(float(lam)) ** 2
     A = mp.matrix([[mp.mpf(float(v)) for v in row] for row in K]) + lam2 * mp.eye(n)
@@ -705,7 +712,7 @@ def _greedy_gram(kernel, grid, selected):
 
 _LEDGER_FIELDS = ("info_gain", "effective_dim", "sum_variance", "bound_rhs")
 _LEDGER_KERNELS = [("nt", 1), ("nt", 2), ("rf", 3)]
-_LEDGER_LAMS = [0.1, 1.0, 1e4, 1e7, 9e7, 1e8]
+_LEDGER_LAMS = [0.1, 1.0, 1e4, 1e7, 9e7, 1e8, 6e153]
 
 
 class TestLedger:

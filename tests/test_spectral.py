@@ -249,9 +249,9 @@ class TestDegreeConstants:
         with pytest.raises(ParameterError, match="int64"):
             matern_spectrum(MaternSpec(1.5, 40), 400)
 
-    @pytest.mark.parametrize("d", [344, 345, 346, 400, 440])
+    @pytest.mark.parametrize("d", [340, 341, 345, 346, 400, 440])
     def test_large_d_matches_mpmath(self, d):
-        """N_{d,i} Gamma((d-2)/2) overflows from d = 343 at M = 2 and Gamma
+        """N_{d,i} Gamma((d-2)/2) overflows from d = 341 at M = 2 and Gamma
         itself from d = 346, but c_{i,d} is finite up to d = 440: exact to 1e-12."""
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
@@ -279,6 +279,14 @@ class TestMercerSpectrum:
             return table.eigenvalues * cfac * at_one
 
         assert_allclose(shares(d), shares(344), rtol=1e-4)
+
+    @pytest.mark.parametrize("d, degree", [(435, 2), (440, 0)])
+    def test_subnormal_eigenvalue_is_a_parameter_error(self, d, degree):
+        """From d = 435 b_i / c_{i,d} drops below the smallest normal float;
+        d = 434 keeps every degree normal."""
+        assert mercer_spectrum(make_kernel("nt", 1, d=434), 434, 2).eigenvalues.min() > 0.0
+        with pytest.raises(ParameterError, match=f"d={d} underflow .* from degree {degree}$"):
+            mercer_spectrum(make_kernel("nt", 1, d=d), d, 2)
 
     def test_nan_mass_fails_the_mass_check(self):
         with pytest.raises(SpectralAccuracyError, match="mass nan"):
