@@ -43,7 +43,7 @@ from .errors import (
     _check_positive,
 )
 from .kernels import _BLOCK, _check_unit_rows, _cross_gram, gram, make_kernel
-from .regression import _chol_with_jitter, _ridge_factor, greedy_max_variance, sample_sphere
+from .regression import _ridge_factor, greedy_max_variance, sample_sphere
 from .serialize import JsonReport, csv_table
 from .spectral import _loglog_fit
 
@@ -145,14 +145,14 @@ def make_synthetic(kernel, d, n0=100, ridge=0.01, seed=0, range_sample=10_000,
     K = gram(kernel, anchors)
     if anchor_values is None:
         z = np.random.default_rng([seed, SALT_ANCHOR_VALUES]).standard_normal(n0)
-        L_prior, _ = _chol_with_jitter(K.copy)
+        L_prior, _ = _ridge_factor(kernel, anchors, 0.0)
         y_hat = L_prior @ z
     else:
         y_hat = np.asarray(anchor_values, dtype=float)
         if y_hat.shape != (n0,):
             raise ParameterError(f"anchor_values must have shape ({n0},)")
 
-    L, _ = _chol_with_jitter(lambda: K + ridge * np.eye(n0))
+    L, _ = _ridge_factor(kernel, anchors, ridge)
     weights = cho_solve((L, True), y_hat)
     norm_sq = float(weights @ (K @ weights))
     cap = float(y_hat @ y_hat) / ridge
@@ -247,7 +247,8 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
         noise = np.random.default_rng([rep_seed, SALT_NOISE, *salt]).standard_normal(size)
         L, _ = _ridge_factor(kernel, P, train_lam2)
         # no n^2 finiteness masks: cholesky checked L's input, the rhs is kernel values and noise
-        z = solve_triangular(L, target(P) + noise * noise_scale, lower=True, check_finite=False)
+        z = solve_triangular(L, target._values(P) + noise * noise_scale, lower=True,
+                             check_finite=False)
         Z = np.where(np.arange(size)[:, None] < sizes, z[:, None], 0.0)
         blocks.append(solve_triangular(L, Z, trans="T", lower=True, check_finite=False))
         del L  # before the next pool's Gram and the evaluation stream
@@ -255,8 +256,9 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
     X = np.vstack(sets)
     alpha = block_diag(*blocks)
 
-    # X passed the unit-norm check in _ridge_factor and the anchors theirs when
-    # the target was built; the evaluation points are checked once, not per tile
+    # each pool passed the unit-norm check in _ridge_factor and the anchors
+    # theirs when the target was built; the evaluation points are checked
+    # once, not per tile
     eval_pts = _check_unit_rows(sample_sphere(d, eval_sample, [rep_seed, SALT_EVAL]))
     tile = max(1, _BLOCK // X.shape[0])
     errors = np.zeros(len(n_grid))

@@ -22,9 +22,11 @@ expectations directly and is used to validate the closed forms.
 
 A Gram matrix takes one n x n buffer: numpy computes ``X @ X.T`` as an
 exactly symmetric rank-k update (``test_kernels.py::TestGram::
-test_symmetric_psd`` pins it bit for bit), and the kernel writes its values
-back into the same buffer (``DotProductKernel.__call__(u, out=u)``), which
-the regression code then shifts and factors in place.  Only the effective
+test_symmetric_psd`` pins it bit for bit), its diagonal is set to 1, the
+inner product of a unit vector with itself, so that every K_ii is
+``kappa(1)`` bit for bit, and the kernel writes its values back into the
+same buffer (``DotProductKernel.__call__(u, out=u)``), which the
+regression code then shifts and factors in place.  Only the effective
 dimension of ``infogain`` needs a second n x n array, for L^{-1}.
 """
 
@@ -158,18 +160,19 @@ def _rows(x, s, keys, out=None):
     return vals + [_form(_FORMS[last, s], *args, out, consume=True)]
 
 
-def _layers(u, s, l, nt, c2, out):
-    """The depth-``l`` RF or NT layer recursion on a validated 1-D block of u,
-    written into ``out`` (which may be u) after the last read of u.
+def _layers(u, s, l, family, c2, out):
+    """The depth-``l`` layer recursion of ``family`` on a validated 1-D block
+    of u, written into ``out`` (which may be u) after the last read of u.
 
-    Layer 2 takes the NT or RF value from one row of ``_FORMS``; every later
-    layer takes the RF value and, for NT, the slope at the previous RF value.
+    Layer 2 takes the value from the family's row of ``_FORMS`` ("rf", "nt"
+    or "slope"); every later layer takes the RF value and, for NT, the slope
+    at the previous RF value.
     Integer coefficients and one division by ``D pi`` last keep the absolute
     error of every 2-layer form within about 2 eps kappa(1) of the exact
     value (``test_kernels.py::TestClosedForms::test_matches_mpmath`` pins it
     on a grid dense at u = +-1).
     """
-    family = "nt" if nt else "rf"
+    nt = family == "nt"
     if l == 2:
         _rows(u, s, (family,), out)
         return
@@ -190,7 +193,7 @@ def _layers(u, s, l, nt, c2, out):
         np.add(val, rf, out=val if last is None else last)
 
 
-def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
+def _evaluate(u, s, l=2, family="rf", drop_c2=False, out=None):
     """Validate ``u`` and ``s`` once, then run the layer recursion on u block by block.
 
     The recursion is elementwise, so evaluating the flattened ``u`` in blocks
@@ -201,7 +204,6 @@ def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
     if l < 2:
         raise ConfigurationError(f"depth l must be >= 2, got {l}")
     arr, scalar = _as_ufloat(u, out)
-    family = "nt" if nt else "rf"
     if (family, s) not in _FORMS:
         supported = sorted(k for f, k in _FORMS if f == family)
         raise UnsupportedSmoothnessError(
@@ -211,7 +213,7 @@ def _evaluate(u, s, l=2, nt=False, drop_c2=False, out=None):
     flat = arr.ravel()
     res = np.empty(flat.size) if out is None else out.reshape(-1)
     for lo in range(0, flat.size, _BLOCK):
-        _layers(flat[lo:lo + _BLOCK], s, l, nt, c2, res[lo:lo + _BLOCK])
+        _layers(flat[lo:lo + _BLOCK], s, l, family, c2, res[lo:lo + _BLOCK])
     if out is not None:
         return out
     return float(res[0]) if scalar else res.reshape(arr.shape)
@@ -238,22 +240,14 @@ def rf_closed(s, u):
 
 
 def rf_derivative(s, u):
-    """Derivative ``kappa_s'(u) = (s^2/(2s-1)) * kappa_{s-1}(u)`` for s >= 1."""
-    if s not in _SUPPORTED_S:
-        raise UnsupportedSmoothnessError(
-            f"no closed form for the derivative at s={s}; supported s in {list(_SUPPORTED_S)}"
-        )
-    val = _evaluate(u, s - 1)
-    scale = s * s / (2.0 * s - 1.0)
-    if isinstance(val, float):
-        return scale * val
-    val *= scale
-    return val
+    """Derivative ``kappa_s'(u) = (s^2/(2s-1)) * kappa_{s-1}(u)`` for s >= 1: the
+    slope row of ``_FORMS``, the one the NT layer recursion uses."""
+    return _evaluate(u, s, family="slope")
 
 
 def nt_two_layer(s, u):
     """2-layer NT kernel ``kappa_NT,s(u) = u * kappa_s'(u) + kappa_s(u)``."""
-    return _evaluate(u, s, nt=True)
+    return _evaluate(u, s, family="nt")
 
 
 def rf_deep(s, l, u):
@@ -270,7 +264,7 @@ def nt_deep(s, l, u, drop_c2=False):
     ``Theta^l = Theta^{l-1} * Sigma-dot^l + Sigma^l``; the default keeps the
     factor.
     """
-    return _evaluate(u, s, l, nt=True, drop_c2=drop_c2)
+    return _evaluate(u, s, l, "nt", drop_c2)
 
 
 @dataclass(frozen=True)
@@ -317,7 +311,7 @@ class DotProductKernel:
         """kappa(u); with ``out`` (a C-contiguous float array of u's shape,
         possibly u itself) the values are written into it and it is returned."""
         spec = self.spec
-        return _evaluate(u, spec.s, spec.l, spec.family == "nt", self.drop_c2, out)
+        return _evaluate(u, spec.s, spec.l, spec.family, self.drop_c2, out)
 
     def __repr__(self):
         extra = ", drop_c2=True" if self.drop_c2 else ""
@@ -346,14 +340,21 @@ def gram(kernel, points, points2=None):
     """Kernel matrix ``K[i, j] = kappa(x_i . y_j)`` for unit vectors.
 
     With ``points2=None`` returns the Gram matrix of ``points``, exactly
-    symmetric because ``X @ X.T`` is.  Inner products are clipped to [-1, 1]
-    before kernel evaluation so that rounding in the matrix product cannot
-    push them outside the kernel domain.  The kernel (a
-    :class:`DotProductKernel`) writes into the inner-product array, so the
-    result is the only n x m array made.
+    symmetric because ``X @ X.T`` is, with the diagonal ``kappa(1)`` bit for
+    bit (``kernel.kappa_one``): a unit vector's inner product with itself is
+    set to 1 before the kernel is applied, not taken from the matrix product,
+    which can be an ulp off.  Inner products are clipped to [-1, 1] before
+    kernel evaluation so that rounding in the matrix product cannot push them
+    outside the kernel domain.  The kernel (a :class:`DotProductKernel`)
+    writes into the inner-product array, so the result is the only n x m
+    array made.
     """
     X = _check_unit_rows(points)
-    return _cross_gram(kernel, X, X if points2 is None else _check_unit_rows(points2))
+    if points2 is not None:
+        return _cross_gram(kernel, X, _check_unit_rows(points2))
+    U = X @ X.T
+    np.fill_diagonal(U, 1.0)
+    return kernel(np.clip(U, -1.0, 1.0, out=U), out=U)
 
 
 def _cross_gram(kernel, X, Y):

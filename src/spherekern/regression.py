@@ -14,7 +14,10 @@ variances sigma_{i-1}^2(x_i): the GP-UCB chain rule I = 1/2 sum_i
 log1p(sigma_{i-1}^2(x_i)/lam^2) (Srinivas et al., 2010) never subtracts
 nearly equal numbers, so every lam with lam^2 and 1/lam^2 normal floats
 gets full relative accuracy.  Greedy traces feed it from their growing
-factor, fixed point sets from one Cholesky factor.  A point set's
+factor, fixed point sets from one Cholesky factor; both start every point
+at the prior variance kappa(1), which is also every Gram diagonal entry,
+bit for bit.  Every K + shift I, a fit's, a point set's or a synthetic
+target's, is built and factored by :func:`_ridge_factor`, and a point set's
 K + lam^2 I takes one n x n buffer from inner products to factor:
 ``kernels.gram`` writes the kernel values over the inner products, lam^2
 goes onto that array's diagonal, and the lower factor overwrites it.
@@ -197,15 +200,17 @@ def _chol_with_jitter(build):
     )
 
 
-def _ridge_factor(kernel, points, lam2):
-    """``(L, jitter)``: lower Cholesky factor of gram(points) + lam2 I.
+def _ridge_factor(kernel, points, shift):
+    """``(L, jitter)``: lower Cholesky factor of gram(points) + shift I, the one
+    builder of every ridge system.
 
-    lam2 goes onto the Gram's own diagonal and the factor overwrites it, so
-    the Gram buffer is the only n x n array made.
+    shift goes onto the Gram's own diagonal, which is kappa(1) bit for bit,
+    and the factor overwrites it, so the Gram buffer is the only n x n array
+    made.
     """
     def build():
         A = gram(kernel, points)
-        A.flat[:: A.shape[0] + 1] += lam2
+        A.flat[:: A.shape[0] + 1] += shift
         return A
 
     return _chol_with_jitter(build)
@@ -262,7 +267,7 @@ def confidence_band(model, x, params):
     return params.beta(model.lam) * np.sqrt(var)
 
 
-def _ledger(variance, lam, lower=None):
+def _ledger(variance, lam, kappa_one, lower=None):
     """Per-prefix ``(info_gain, effective_dim, sum_variance, bound_rhs)`` arrays
     of a point sequence.
 
@@ -276,17 +281,24 @@ def _ledger(variance, lam, lower=None):
         effective_dim = sum [sigma^2/(sigma^2 + lam^2) - lam^2 m_i]
                       = n - lam^2 ||L^{-1}||_F^2        = Tr(K (K + lam^2 I)^{-1})
         sum_variance  = sum sigma^2
-        bound_rhs     = 2 sum log1p(sigma^2 / lam^2) / log1p(1 / lam^2)
+        bound_rhs     = c sum log1p(sigma^2 / lam^2),
+                        c = max(2 / log1p(1 / lam^2), kappa(1) / log1p(kappa(1) / lam^2))
 
-    Every term is formed from sigma^2/lam^2, never from a difference with
-    n or n log lam, so no prefix cancels at large lam.  With ``lower=None``
-    the effective dimension is None.
+    x / log1p(x / lam^2) grows with x, so its supremum on (0, kappa(1)] is
+    the second term of c, and sum_variance <= bound_rhs for every kappa(1)
+    (``kappa_one``).  The first term, the classic constant, wins whenever
+    kappa(1) <= 2 and keeps its bits there.  Every term is formed from
+    sigma^2/lam^2, never from a difference with n or n log lam, so no prefix
+    cancels at large lam.  With ``lower=None`` the effective dimension is
+    None.
     """
     var = np.maximum(variance, 0.0, out=variance)
     lam2 = lam * lam
     gain = np.cumsum(np.log1p(var / lam2))
     eff = None if lower is None else np.cumsum(var / (var + lam2) - lam2 * lower)
-    return 0.5 * gain, eff, np.cumsum(var), 2.0 * gain / np.log1p(1.0 / lam2)
+    # c = num / log1p(arg / lam^2) for the larger of the two (num, arg) pairs
+    num, arg = max((2.0, 1.0), (kappa_one, kappa_one), key=lambda c: c[0] / np.log1p(c[1] / lam2))
+    return 0.5 * gain, eff, np.cumsum(var), num * gain / np.log1p(arg / lam2)
 
 
 def _strict_row_squares(T):
@@ -299,35 +311,24 @@ def _strict_row_squares(T):
 def _infogain_summary(kernel, points, lam, effective_dim=True):
     """The :class:`InfoGainReport` of one point set, in its given order.
 
-    One Gram K and one Cholesky factor L of K + lam^2 I feed
+    One Cholesky factor L of K + lam^2 I, from :func:`_ridge_factor`, feeds
     :func:`_ledger`: the sequential variances are sigma_{i-1}^2(x_i) =
-    K_ii + jitter - sum_{j<i} L_ij^2, with K_ii the Gram diagonal that was
-    factored, and the row norms m_i come from L^{-1}, solved into a second
-    n x n buffer.  With ``effective_dim=False`` that solve, which only the
-    effective dimension needs, is skipped and the report's
-    ``effective_dim`` is None.
+    kappa(1) + jitter - sum_{j<i} L_ij^2, kappa(1) being every K_ii, and
+    the row norms m_i come from L^{-1}, solved into a second n x n buffer.
+    With ``effective_dim=False`` that solve, which only the effective
+    dimension needs, is skipped and the report's ``effective_dim`` is None.
     """
     _check_lam(lam)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    k_diag = None
-
-    def build():  # the ridge matrix of _ridge_factor, keeping the diagonal of K
-        nonlocal k_diag
-        A = gram(kernel, points)
-        k_diag = A.diagonal().copy()
-        A.flat[:: n + 1] += lam * lam
-        return A
-
-    L, jitter = _chol_with_jitter(build)
+    L, jitter = _ridge_factor(kernel, points, lam * lam)
+    n = L.shape[0]
     lower = None
     if effective_dim:
         # the identity is solved in place: the second n x n buffer
         L_inv = solve_triangular(L, np.eye(n, order="F"), lower=True, overwrite_b=True)
         lower = _strict_row_squares(L_inv)
-    variance = k_diag + jitter - _strict_row_squares(L)
+    variance = kernel.kappa_one + jitter - _strict_row_squares(L)
     info, eff, sum_var, bound = (None if a is None else float(a[-1])
-                                 for a in _ledger(variance, lam, lower))
+                                 for a in _ledger(variance, lam, kernel.kappa_one, lower))
     return InfoGainReport(n=n, info_gain=info, effective_dim=eff, lam=lam,
                           sum_variance=sum_var, bound_rhs=bound)
 
@@ -368,8 +369,9 @@ class GreedyTrace(JsonReport):
 
     Arrays are indexed by step; entry i describes the model after i+1
     selections.  ``bound_rhs`` is the sequential-decomposition bound
-    (2/log(1 + lam^{-2})) * log det(I + K/lam^2) that dominates
-    ``sum_variance`` at every prefix.
+    c * log det(I + K/lam^2), c = max(2/log1p(1/lam^2),
+    kappa(1)/log1p(kappa(1)/lam^2)), that dominates ``sum_variance`` at
+    every prefix.
     """
 
     lam: float
@@ -437,17 +439,20 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
                 f"greedy step {i}: nonpositive Schur complement {schur:.3e}"
             )
         ell = sqrt(schur)
-        # appending row (v, ell) to L appends (-u / ell, 1 / ell) to L^{-1}
-        u = v @ L_inv[:i, :i]
-        L_inv[i, :i] = -u / ell
+        # appending row (v, ell) to L appends (-w / ell, 1 / ell) to L^{-1}
+        w = v @ L_inv[:i, :i]
+        L_inv[i, :i] = -w / ell
         L_inv[i, i] = 1.0 / ell
-        lower[i] = float(u @ u) / schur
-        k_row = kernel(np.clip(grid @ grid[j], -1.0, 1.0))
+        lower[i] = float(w @ w) / schur
+        u = grid @ grid[j]
+        np.clip(u, -1.0, 1.0, out=u)
+        u[j] = 1.0  # as in gram: the row's own entry is kappa(1) bit for bit
+        k_row = kernel(u, out=u)
         V[i] = (k_row - v @ V[:i]) / ell
         sigma2 -= V[i] * V[i]
         np.clip(sigma2, 0.0, None, out=sigma2)  # for the argmax; the ledger clamps its own input
 
-    info, eff, sum_var, bound = _ledger(variance, lam, lower)
+    info, eff, sum_var, bound = _ledger(variance, lam, kappa_one, lower)
     return GreedyTrace(
         lam=lam,
         selected_indices=sel,
@@ -464,11 +469,12 @@ def variance_sum_check(kernel, points, lam):
     """Both sides of the total-uncertainty bound for a sequential point set.
 
     lhs is the sum of prior-to-selection variances sigma_{i-1}^2(x_i); rhs
-    is (2/log(1 + lam^{-2})) * log det(I + K_n/lam^2), the ledger's
-    2 sum log1p(sigma_{i-1}^2(x_i)/lam^2) / log1p(1/lam^2).  Both come from
-    the one Cholesky factor of :func:`_infogain_summary`, without its
-    effective-dimension solve.  lhs <= rhs holds for every sequence when
-    kappa(1) <= 2; both values are returned for reporting.
+    is c * log det(I + K_n/lam^2), the ledger's c sum
+    log1p(sigma_{i-1}^2(x_i)/lam^2) with c = max(2/log1p(1/lam^2),
+    kappa(1)/log1p(kappa(1)/lam^2)).  Both come from the one Cholesky factor
+    of :func:`_infogain_summary`, without its effective-dimension solve.
+    lhs <= rhs holds for every sequence and every kappa(1); both values are
+    returned for reporting.
     """
     report = _infogain_summary(kernel, points, lam, effective_dim=False)
     return report.sum_variance, report.bound_rhs

@@ -437,8 +437,9 @@ class TestReports:
         assert main(["infogain", "--family", "nt", "--s", "1", "--n", "8",
                      "--lam", lam, "--out", str(out)]) == 0
         payload = payload_of(out.read_text())
-        K = gram(make_kernel("nt", 1), sample_sphere(3, 8, 0))
-        for key, value in zip(_LEDGER_FIELDS, _mp_ledger(K, float(lam))):
+        kernel = make_kernel("nt", 1)
+        K = gram(kernel, sample_sphere(3, 8, 0))
+        for key, value in zip(_LEDGER_FIELDS, _mp_ledger(K, float(lam), kernel.kappa_one)):
             assert_allclose(payload[key], value, rtol=1e-12, err_msg=key)
         assert 0.0 < payload["info_gain"] and payload["sum_variance"] <= 16.0
 

@@ -218,8 +218,9 @@ class TestGram:
     @pytest.mark.parametrize("n", [1, 7, 300, 1000, 2048])
     @pytest.mark.parametrize("d", [2, 3, 50])
     def test_symmetric_psd(self, layout, n, d):
-        """Gram matrices are bitwise symmetric, bitwise ``_cross_gram(X, X)`` and
-        positive semidefinite, for C-ordered, F-ordered and row-strided points.
+        """Gram matrices are bitwise symmetric, bitwise ``_cross_gram(X, X)`` off
+        the diagonal, bitwise ``kappa(1)`` on it, and positive semidefinite,
+        for C-ordered, F-ordered and row-strided points.
 
         Past n = 300 one kernel is evaluated and the O(n^3) spectrum skipped:
         symmetry is a property of the inner products, which every kernel maps
@@ -234,7 +235,9 @@ class TestGram:
             kernel = make_kernel(fam, s, d=d)
             K = gram(kernel, X)
             assert _bits(K) == _bits(K.T)
-            assert _bits(K) == _bits(kernels._cross_gram(kernel, X, X))
+            off = ~np.eye(n, dtype=bool)
+            assert _bits(K[off]) == _bits(kernels._cross_gram(kernel, X, X)[off])
+            assert _bits(K.diagonal()) == _bits(np.full(n, kernel.kappa_one))
             if n <= 300:
                 w = np.linalg.eigvalsh(K)
                 assert w.min() >= -1e-10 * w.max()
@@ -332,7 +335,7 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_derivative_runs_in_blocks(self, monkeypatch, s):
         """rf_derivative evaluates at most _BLOCK entries at a time, to the bits
-        of s^2/(2s-1) * kappa_{s-1}(u)."""
+        of the slope row of the NT layer recursion."""
         u = np.random.default_rng(5).uniform(-1.0, 1.0, (2, _BLOCK + 7))
         sizes = []
         real = kernels._layers
@@ -344,8 +347,9 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(kernels, "_layers", spy)
         got = rf_derivative(s, u)
         assert len(sizes) == 3 and max(sizes) <= _BLOCK
-        assert _bits(got) == _bits(s * s / (2.0 * s - 1.0) * rf_closed(s - 1, u))
-        assert rf_derivative(s, 0.3) == s * s / (2.0 * s - 1.0) * rf_closed(s - 1, 0.3)
+        slope = kernels._rows(u.ravel(), s, ("slope",))[0].reshape(u.shape)
+        assert _bits(got) == _bits(slope)
+        assert rf_derivative(s, 0.3) == kernels._rows(np.array([0.3]), s, ("slope",))[0][0]
 
     def test_scalar_and_empty_inputs(self, monkeypatch):
         kernel = make_kernel("nt", 2, 3)

@@ -678,12 +678,13 @@ class TestVarianceSumCheck:
         assert_allclose(lhs, total, rtol=1e-8)
 
 
-def _mp_ledger(K, lam):
+def _mp_ledger(K, lam, kappa_one):
     """``(info_gain, effective_dim, sum_variance, bound_rhs)`` of the float
     matrix K at 60 digits beyond those of lam^2, from the definitions:
     1/2 log det(I + K/lam^2), n - lam^2 Tr((K + lam^2 I)^{-1}), the sum of
     L_ii^2 - lam^2 over the Cholesky factor L of K + lam^2 I, and
-    2 log det(I + K/lam^2) / log1p(1/lam^2)."""
+    c log det(I + K/lam^2) with c = max(2/log1p(1/lam^2),
+    kappa(1)/log1p(kappa(1)/lam^2))."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 60 + max(0, int(2 * np.log10(lam)))
@@ -695,24 +696,30 @@ def _mp_ledger(K, lam):
     logdet = mp.fsum(mp.log1p(v / lam2) for v in variance)
     A_inv = mp.inverse(A)
     eff = n - lam2 * mp.fsum(A_inv[i, i] for i in range(n))
-    return tuple(float(x) for x in
-                 (logdet / 2, eff, mp.fsum(variance), 2 * logdet / mp.log1p(1 / lam2)))
+    k1 = mp.mpf(float(kappa_one))
+    c = max(2 / mp.log1p(1 / lam2), k1 / mp.log1p(k1 / lam2))
+    return tuple(float(x) for x in (logdet / 2, eff, mp.fsum(variance), c * logdet))
 
 
 def _greedy_gram(kernel, grid, selected):
     """The matrix greedy_max_variance factors: kappa(1) on the diagonal and,
-    below it, entry (k, i) from the kernel row of selection i."""
+    below it, entry (k, i) from the kernel row of selection i, whose own
+    grid point has inner product 1."""
     n = len(selected)
     K = np.full((n, n), kernel.kappa_one)
     for i in range(n):
-        row = kernel(np.clip(grid @ grid[selected[i]], -1.0, 1.0))[selected]
+        u = np.clip(grid @ grid[selected[i]], -1.0, 1.0)
+        u[selected[i]] = 1.0
+        row = kernel(u)[selected]
         K[i + 1:, i] = K[i, i + 1:] = row[i + 1:]
     return K
 
 
 _LEDGER_FIELDS = ("info_gain", "effective_dim", "sum_variance", "bound_rhs")
-_LEDGER_KERNELS = [("nt", 1), ("nt", 2), ("rf", 3)]
-_LEDGER_LAMS = [0.1, 1.0, 1e4, 1e7, 9e7, 1e8, 6e153]
+# NT s = 3 (kappa(1) = 2.8) at lam = 0.01 and 0.1: the bound's constant is
+# kappa(1)/log1p(kappa(1)/lam^2) there, not 2/log1p(1/lam^2)
+_LEDGER_KERNELS = [("nt", 1), ("nt", 2), ("rf", 3), ("nt", 3)]
+_LEDGER_LAMS = [0.1, 1.0, 1e4, 1e7, 9e7, 1e8, 6e153, 0.01]
 
 
 class TestLedger:
@@ -726,7 +733,7 @@ class TestLedger:
         kernel = make_kernel(family, s)
         points = sample_sphere(3, 8, 21)
         report = regression._infogain_summary(kernel, points, lam)
-        exact = _mp_ledger(kernels.gram(kernel, points), lam)
+        exact = _mp_ledger(kernels.gram(kernel, points), lam, kernel.kappa_one)
         for name, value in zip(_LEDGER_FIELDS, exact):
             assert_allclose(getattr(report, name), value, rtol=1e-12, err_msg=name)
 
@@ -736,6 +743,22 @@ class TestLedger:
         kernel = make_kernel(family, s)
         grid = sample_sphere(3, 64, 22)
         trace = greedy_max_variance(kernel, grid, 8, lam)
-        exact = _mp_ledger(_greedy_gram(kernel, grid, trace.selected_indices), lam)
+        exact = _mp_ledger(_greedy_gram(kernel, grid, trace.selected_indices), lam,
+                           kernel.kappa_one)
+        for name, value in zip(_LEDGER_FIELDS, exact):
+            assert_allclose(getattr(trace, name)[-1], value, rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("family, s", _LEDGER_KERNELS)
+    def test_greedy_reselection_matches_mpmath(self, family, s):
+        """8 selections from 4 grid points: a point selected again has inner
+        product 1 with its earlier copy, so greedy's matrix holds kappa(1)
+        there.  Taken from the matrix-vector product instead, NT s = 1 would
+        be off by about 1e-9 relative."""
+        kernel = make_kernel(family, s)
+        grid = sample_sphere(3, 4, 23)
+        trace = greedy_max_variance(kernel, grid, 8, 1.0)
+        assert np.unique(trace.selected_indices).size == 4
+        exact = _mp_ledger(_greedy_gram(kernel, grid, trace.selected_indices), 1.0,
+                           kernel.kappa_one)
         for name, value in zip(_LEDGER_FIELDS, exact):
             assert_allclose(getattr(trace, name)[-1], value, rtol=1e-12, err_msg=name)
