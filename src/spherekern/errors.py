@@ -7,11 +7,14 @@ completed reliably (exit code 3).
 
 ``_in_range`` is the one finite-and-positive range rule: the library's
 float parameters go through it by ``_check_positive``, the CLI's by
-``cli._check_values``; ``_check_lam`` is the one range rule for lam.
+``cli._check_values``; ``_check_lam`` is the one range rule for lam, and
+``_check_int`` the one integer rule (dimensions, powers, depths, degrees, counts).
 """
 
 from math import isfinite
 from sys import float_info
+
+import numpy as np
 
 
 class SphereKernError(Exception):
@@ -26,16 +29,17 @@ class DomainError(ConfigurationError):
     """Numeric input outside the supported domain (e.g. |u| > 1 + 1e-12)."""
 
 
-class UnsupportedSmoothnessError(ConfigurationError):
-    """Smoothness s outside the closed-form set {0, 1, 2, 3}."""
-
-
-class UnsupportedDimensionError(ConfigurationError):
-    """Dimension outside the supported range for the requested operation."""
-
-
 class ParameterError(ConfigurationError):
     """Parameter outside its valid range (e.g. delta not in (0, 1))."""
+
+
+class UnsupportedSmoothnessError(ParameterError):
+    """Power s outside the closed forms: kernels take s in {1, 2, 3}, ``rf_closed``
+    also s = 0; or s not an integer."""
+
+
+class UnsupportedDimensionError(ParameterError):
+    """Dimension d not an integer or below the floor of the requested operation."""
 
 
 class NumericalError(SphereKernError):
@@ -85,3 +89,12 @@ def _check_lam(lam):
             f"lam must be positive with lam^2 and 1/lam^2 normal floats "
             f"(about 1.5e-154 <= lam <= 6.7e153), got {lam}"
         )
+
+
+def _check_int(value, name, low, error=ParameterError):
+    """``value`` as an int if it is a Python or numpy integer >= ``low``; a bool,
+    a float (2.0 included), a string or a smaller integer raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise error(f"{name} must be a non-negative integer, got {value!r}" if low == 0
+                    else f"need an integer {name} >= {low}, got {value!r}")
+    return int(value)

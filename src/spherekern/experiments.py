@@ -40,6 +40,9 @@ from .errors import (
     ExperimentError,
     NumericalError,
     ParameterError,
+    UnsupportedDimensionError,
+    UnsupportedSmoothnessError,
+    _check_int,
     _check_positive,
 )
 from .kernels import _BLOCK, _check_unit_rows, _cross_gram, gram, make_kernel
@@ -60,8 +63,8 @@ SALT_GREEDY_GRID = 301
 
 def theoretical_error_exponent(family, s, d):
     """Predicted sup-error exponent: NT (1-2s)/(2d+4s-4), RF -(2s+1)/(2d+4s)."""
-    if s < 1 or d < 2:
-        raise ParameterError(f"need s >= 1 and d >= 2, got s={s}, d={d}")
+    _check_int(s, "s", 1, UnsupportedSmoothnessError)
+    _check_int(d, "d", 2, UnsupportedDimensionError)
     if family == "nt":
         return (-2.0 * s + 1.0) / (2.0 * d + 4.0 * s - 4.0)
     if family == "rf":
@@ -71,8 +74,8 @@ def theoretical_error_exponent(family, s, d):
 
 def theoretical_mig_exponent(family, s, d):
     """Predicted info-gain growth exponent: NT (d-1)/(d+2s-2), RF (d-1)/(d+2s)."""
-    if s < 1 or d < 2:
-        raise ParameterError(f"need s >= 1 and d >= 2, got s={s}, d={d}")
+    _check_int(s, "s", 1, UnsupportedSmoothnessError)
+    _check_int(d, "d", 2, UnsupportedDimensionError)
     if family == "nt":
         return (d - 1.0) / (d + 2.0 * s - 2.0)
     if family == "rf":
@@ -140,6 +143,8 @@ def make_synthetic(kernel, d, n0=100, ridge=0.01, seed=0, range_sample=10_000,
         If the certified norm chain |g|^2 <= |Y_hat|^2 / ridge fails
         numerically.
     """
+    n0 = _check_int(n0, "n0", 1)
+    _check_int(range_sample, "range_sample", 1)
     _check_positive(ridge, f"ridge must be positive, got {ridge}")
     anchors = sample_sphere(d, n0, [seed, SALT_ANCHORS])
     K = gram(kernel, anchors)
@@ -206,11 +211,13 @@ class ErrorRateReport(JsonReport):
 def _grid(n_grid, max_exp):
     """The n grid as int64 (default 2^1 .. 2^max_exp) and the slice of its upper half.
 
-    The upper half, at least 3 points, is the asymptotic part that slope fits use.
+    Each entry is an integer >= 1, 2.0 not.  The upper half, at least 3 points,
+    is the asymptotic part that slope fits use.
     """
     if n_grid is None:
-        n_grid = 2 ** np.arange(1, max_exp + 1)
-    n_grid = np.asarray(n_grid, dtype=np.int64)
+        n_grid = 2 ** np.arange(1, _check_int(max_exp, "max_exp", 1) + 1)
+    n_grid = np.array([_check_int(n, "n_grid entry", 1)
+                       for n in np.atleast_1d(n_grid).tolist()], dtype=np.int64)
     if np.any(np.diff(n_grid) <= 0):
         raise ParameterError("n_grid must be strictly increasing")
     k = len(n_grid)
@@ -295,10 +302,9 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
     processes, no more than repetitions, run them; None or 1 runs them here.
     """
     n_grid, half = _grid(n_grid, 11)
-    if repetitions < 1:
-        raise ParameterError("repetitions must be >= 1")
-    if eval_sample < 1 or n0 < 1:
-        raise ParameterError(f"need eval_sample >= 1 and n0 >= 1, got {eval_sample} and {n0}")
+    for name, count in (("repetitions", repetitions), ("eval_sample", eval_sample),
+                        ("n0", n0), ("workers", 1 if workers is None else workers)):
+        _check_int(count, name, 1)
     _check_positive(train_lam2, f"train_lam2 must be positive, got {train_lam2}")
     _check_positive(noise_scale, f"noise_scale must be nonnegative, got {noise_scale}",
                     allow_zero=True)
@@ -372,7 +378,7 @@ def mig_growth_experiment(family, s, d, n_grid=None, lam=1.0,
     """
     n_grid, half = _grid(n_grid, 10)
     max_n = int(n_grid[-1])
-    if max_n > candidate_grid_size:
+    if max_n > _check_int(candidate_grid_size, "candidate_grid_size", 1):
         raise ParameterError(
             f"max n {max_n} exceeds candidate grid size {candidate_grid_size}"
         )

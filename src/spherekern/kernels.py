@@ -38,7 +38,9 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DomainError,
+    UnsupportedDimensionError,
     UnsupportedSmoothnessError,
+    _check_int,
 )
 
 #: Hard bound for inner products: values in (1, 1 + U_CLAMP_TOL] are treated
@@ -201,8 +203,8 @@ def _evaluate(u, s, l=2, family="rf", drop_c2=False, out=None):
     temporaries stay in cache.  A block is read in full before its values are
     written, so ``out`` (returned when given) may be ``u`` itself.
     """
-    if l < 2:
-        raise ConfigurationError(f"depth l must be >= 2, got {l}")
+    l = _check_int(l, "l", 2)
+    s = _check_int(s, "s", 0, UnsupportedSmoothnessError)
     arr, scalar = _as_ufloat(u, out)
     if (family, s) not in _FORMS:
         supported = sorted(k for f, k in _FORMS if f == family)
@@ -279,14 +281,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ("rf", "nt"):
             raise ConfigurationError(f"family must be 'rf' or 'nt', got {self.family!r}")
-        if self.s not in _SUPPORTED_S:
+        if _check_int(self.s, "s", 0, UnsupportedSmoothnessError) not in _SUPPORTED_S:
             raise UnsupportedSmoothnessError(
                 f"s={self.s} unsupported; closed forms exist for s in {_SUPPORTED_S}"
             )
-        if self.l < 2:
-            raise ConfigurationError(f"depth l must be >= 2, got {self.l}")
-        if self.d < 2:
-            raise ConfigurationError(f"ambient dimension d must be >= 2, got {self.d}")
+        _check_int(self.l, "l", 2)
+        _check_int(self.d, "d", 2, UnsupportedDimensionError)
 
     @property
     def c_squared(self):
@@ -381,8 +381,9 @@ class McOracleConfig:
     chunk_size: int = 1 << 17
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ConfigurationError("sample_count must be positive")
+        _check_int(self.sample_count, "sample_count", 1)
+        _check_int(self.seed, "seed", 0)
+        _check_int(self.chunk_size, "chunk_size", 1)
 
 
 def _mc_integrand(spec, u, g1, g2):

@@ -41,6 +41,8 @@ from .errors import (
     DomainError,
     IllConditionedGramError,
     ParameterError,
+    UnsupportedDimensionError,
+    _check_int,
     _check_lam,
     _check_positive,
 )
@@ -136,8 +138,8 @@ class FittedRegressor:
         """The prior model (no training data)."""
         _check_lam(lam)
         if d is None:
-            spec = getattr(kernel, "spec", None)
-            d = spec.d if spec is not None else 3
+            d = getattr(getattr(kernel, "spec", None), "d", 3)
+        d = _check_int(d, "d", 2, UnsupportedDimensionError)
         return cls(kernel, np.empty((0, d)), lam, np.empty((0, 0)), np.empty(0))
 
     @property
@@ -150,10 +152,8 @@ def sample_sphere(d, n, seed):
 
     Deterministic given the seed (which may be an int or a seed sequence).
     """
-    if d < 2:
-        raise ParameterError(f"d must be >= 2, got {d}")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    d = _check_int(d, "d", 2, UnsupportedDimensionError)
+    n = _check_int(n, "n", 1)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     norms = np.linalg.norm(X, axis=1, keepdims=True)
@@ -408,11 +408,10 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     :func:`_ledger`.
     """
     _check_lam(lam)
+    n = _check_int(n, "n", 1)
     grid = np.atleast_2d(np.asarray(candidate_grid, dtype=float))
     if grid.shape[0] == 0:
         raise ConfigurationError("candidate grid is empty")
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
     _check_unit_rows(grid)
 
     m = grid.shape[0]

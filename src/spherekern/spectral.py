@@ -19,10 +19,10 @@ t_i = lam_i c_{i,d} C_i(1) of kappa(1) has a closed form for two-layer
 kernels (:func:`_degree_terms`), and :func:`tail_sum` sums those past M
 and bounds the rest by a proven ratio inequality.
 
-The ambient dimension must satisfy d >= 3 for spectral operations: at
-d = 2 the Gegenbauer weight degenerates (alpha = 0).  Every degree
-argument is a non-negative integer (a numpy integer too, a bool not);
-anything else is a ParameterError.
+The ambient dimension must be an integer d >= 3 for spectral operations,
+else an UnsupportedDimensionError: at d = 2 the Gegenbauer weight degenerates
+(alpha = 0).  Every degree argument is a non-negative integer (a numpy integer
+too, a bool not), else a ParameterError; both by ``errors._check_int``.
 """
 
 from dataclasses import dataclass
@@ -39,6 +39,8 @@ from .errors import (
     ParameterError,
     SpectralAccuracyError,
     UnsupportedDimensionError,
+    UnsupportedSmoothnessError,
+    _check_int,
     _check_positive,
 )
 from .kernels import DotProductKernel, KernelSpec, double_factorial_odd, rf_closed
@@ -54,26 +56,14 @@ N_GEO = 30
 N_MID = 12
 
 
-def _check_degree(value, name="degree"):
-    """``value`` as an int; a ParameterError unless it is a non-negative integer.
-
-    Python and numpy integers pass; a bool, a float (2.0 included) or a string
-    does not.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
 def multiplicity(d, i):
     """Number N_{d,i} of degree-i spherical harmonics on S^{d-1} (exact int).
 
     Evaluates (2i+d-2)/i * binomial(i+d-3, d-2) in the integer-exact form
     2*binomial(i+d-3, i-1) + binomial(i+d-3, i); N_{d,0} = 1.
     """
-    i = _check_degree(i)
-    if d < 2:
-        raise ParameterError(f"multiplicity requires d >= 2, got d={d}")
+    i = _check_int(i, "degree", 0)
+    d = _check_int(d, "d", 2, UnsupportedDimensionError)
     if i == 0:
         return 1
     return 2 * comb(i + d - 3, i - 1) + comb(i + d - 3, i)
@@ -129,7 +119,7 @@ def gegenbauer(alpha, i, u):
         raise UnsupportedDimensionError(
             f"Gegenbauer weight requires alpha > 0 (d >= 3); got alpha={alpha}"
         )
-    i = _check_degree(i)
+    i = _check_int(i, "degree", 0)
     arr = np.asarray(u, dtype=float)
     for j, row in _gegenbauer_rows(alpha, i, arr):
         if j == i:
@@ -139,15 +129,14 @@ def gegenbauer(alpha, i, u):
 
 def gegenbauer_at_one(d, i):
     """C_i^{(d-2)/2}(1) = binomial(i + d - 3, i), exact."""
-    i = _check_degree(i)
-    return comb(i + d - 3, i)
+    i = _check_int(i, "degree", 0)
+    return comb(i + _check_int(d, "d", 3, UnsupportedDimensionError) - 3, i)
 
 
 def addition_constant(d, i):
     """Addition-theorem constant c_{i,d} = N_{d,i} Gamma((d-2)/2) / (2 pi^{(d-2)/2} C_i(1))."""
-    if d < 3:
-        raise UnsupportedDimensionError(f"addition_constant requires d >= 3, got d={d}")
-    i = _check_degree(i)
+    d = _check_int(d, "d", 3, UnsupportedDimensionError)
+    i = _check_int(i, "degree", 0)
     return float(_degree_constants(d, i)[0][i])
 
 
@@ -162,7 +151,7 @@ def _exact_table(f, d, M):
 
 
 def _degree_constants(d, M):
-    """``(c_{i,d}, C_i(1), N_{d,i})`` for i = 0..M as arrays, d >= 3.
+    """``(c_{i,d}, C_i(1), N_{d,i})`` for i = 0..M as arrays, for an int d >= 3.
 
     C_i(1) and N_{d,i} are the exact :func:`gegenbauer_at_one` and
     :func:`multiplicity` as int64 (a ParameterError if they do not fit);
@@ -173,7 +162,6 @@ def _degree_constants(d, M):
     table comes from lgamma instead, to about 1e-13.  From d = 441 on
     c_{i,d} is not a finite float, a ParameterError.
     """
-    d = int(d)  # Python floats in cfac, even for a numpy d
     at_one = _exact_table(gegenbauer_at_one, d, M)
     mult = _exact_table(multiplicity, d, M)
     alpha = (d - 2) / 2.0
@@ -232,13 +220,9 @@ class GegenbauerBasis:
     """
 
     def __init__(self, d, max_degree):
-        if d < 3:
-            raise UnsupportedDimensionError(
-                f"spectral operations require d >= 3, got d={d}"
-            )
-        self.d = int(d)
-        self.alpha = (d - 2) / 2.0
-        self.max_degree = _check_degree(max_degree, "max_degree")
+        self.d = _check_int(d, "d", 3, UnsupportedDimensionError)
+        self.alpha = (self.d - 2) / 2.0
+        self.max_degree = _check_int(max_degree, "max_degree", 0)
         self.nodes, self.weights = _quadrature(self.d, self.max_degree + 8 + self.d)
 
     def project(self, values, max_degree=None):
@@ -248,7 +232,7 @@ class GegenbauerBasis:
         closed form h_i = <C_i, C_i>_w = pi 2^(1 - 2 alpha) Gamma(i + 2 alpha)
         / (i! (i + alpha) Gamma(alpha)^2).
         """
-        M = self.max_degree if max_degree is None else _check_degree(max_degree, "max_degree")
+        M = self.max_degree if max_degree is None else _check_int(max_degree, "max_degree", 0)
         if M > self.max_degree:
             raise ConfigurationError(
                 f"basis supports degrees <= {self.max_degree}, requested {M}"
@@ -298,6 +282,7 @@ class SpectrumTable(JsonReport):
                     "multiplicity": "multiplicities"}
 
     def __post_init__(self):
+        _check_int(self.d, "d", 2, UnsupportedDimensionError)
         ev = np.asarray(self.eigenvalues, dtype=float)
         mult = np.asarray(self.multiplicities, dtype=np.int64)
         if ev.shape != mult.shape or ev.ndim != 1:
@@ -350,7 +335,7 @@ def mercer_spectrum(kernel, d, M):
 
     values = kernel(basis.nodes)
     b = basis.project(values)
-    cfac, at_one, mult = _degree_constants(d, M)
+    cfac, at_one, mult = _degree_constants(basis.d, M)
     lam = b / cfac
 
     # Clamp scale: the largest eigenvalue (equals lam[0] for NT/RF kernels,
@@ -381,19 +366,18 @@ def mercer_spectrum(kernel, d, M):
         )
 
     return SpectrumTable(
-        d=d, eigenvalues=lam, multiplicities=mult,
+        d=basis.d, eigenvalues=lam, multiplicities=mult,
         provenance=provenance, n_clamped=n_clamped,
     )
 
 
 def reconstruct(table, u):
     """Evaluate the truncated expansion sum_i lam_i c_{i,d} C_i^alpha(u)."""
-    alpha = (table.d - 2) / 2.0
-    if alpha <= 0:
-        raise UnsupportedDimensionError("reconstruction requires d >= 3")
+    d = _check_int(table.d, "d", 3, UnsupportedDimensionError)
+    alpha = (d - 2) / 2.0
     arr = np.asarray(u, dtype=float)
     out = np.zeros_like(arr, dtype=float)
-    coef = table.eigenvalues * _degree_constants(table.d, table.max_degree)[0]
+    coef = table.eigenvalues * _degree_constants(d, table.max_degree)[0]
     for i, Ci in _gegenbauer_rows(alpha, table.max_degree, arr):
         out += coef[i] * Ci
     return float(out) if arr.ndim == 0 else out
@@ -485,10 +469,9 @@ def tail_sum(family, s, d, M):
     1 ms at M = 4096).  The log-log slope in M approaches -(2s-1) for NT and
     -(2s+1) for RF.
     """
-    M = _check_degree(M, "M")
+    M = _check_int(M, "M", 0)
+    d = _check_int(d, "d", 3, UnsupportedDimensionError)
     KernelSpec(family, s, d=d)  # family and s as every kernel checks them
-    if not (isinstance(d, (int, np.integer)) and d >= 3):
-        raise UnsupportedDimensionError(f"tail_sum requires an integer d >= 3, got d={d!r}")
     alpha = (d - 2) / 2.0
     parts = [(1.0, s, M)]
     if family == "nt":
@@ -519,8 +502,7 @@ class MaternSpec:
         _check_positive(self.nu, f"nu must be positive, got {self.nu}")
         _check_positive(self.lengthscale,
                         f"lengthscale must be positive, got {self.lengthscale}")
-        if self.d < 2:
-            raise ParameterError(f"d must be >= 2, got {self.d}")
+        _check_int(self.d, "d", 2, UnsupportedDimensionError)
 
 
 def matern_spectrum(spec, M):
@@ -529,7 +511,7 @@ def matern_spectrum(spec, M):
     Evaluated, not quadratured: the table matches the formula to full
     floating precision and is strictly decreasing in the degree.
     """
-    M = _check_degree(M, "M")
+    M = _check_int(M, "M", 0)
     i = np.arange(M + 1, dtype=float)
     shift = 2.0 * spec.nu / (spec.lengthscale * spec.lengthscale)
     lam = (shift + i * (i + spec.d - 2.0)) ** (-(spec.nu + (spec.d - 1.0) / 2.0))
@@ -556,8 +538,7 @@ def endpoint_coefficient(s):
     c_minus = (2^s sqrt(2)/pi) * prod_{r=1}^s r^2/(4r^2 - 1), and the
     non-polynomial part at +1 carries c_plus = (-1)^{s-1} c_minus.
     """
-    if s < 1:
-        raise ParameterError(f"endpoint coefficients require s >= 1, got {s}")
+    s = _check_int(s, "s", 1, UnsupportedSmoothnessError)
     c_minus = (2.0**s * sqrt(2.0) / pi) * prod(
         r * r / (4.0 * r * r - 1.0) for r in range(1, s + 1)
     )
@@ -597,7 +578,7 @@ def _window(max_degree, degree_range, parity):
     Each bound must be a non-negative integer (a negative lo would index from
     the end of a table), else a ParameterError.
     """
-    lo, hi = (_check_degree(x, "degree range bound") for x in degree_range)
+    lo, hi = (_check_int(x, "degree range bound", 0) for x in degree_range)
     if parity not in ("even", "odd", "all"):
         raise ParameterError(f"parity must be 'even', 'odd' or 'all', got {parity!r}")
     deg = np.arange(lo, min(hi, max_degree) + 1)
@@ -606,7 +587,7 @@ def _window(max_degree, degree_range, parity):
 
 def default_fit_range(s=None):
     """Default degree range for eigendecay fits: [max(9, 2s+3), 59]."""
-    lo = 9 if s is None else max(9, 2 * s + 3)
+    lo = 9 if s is None else max(9, 2 * _check_int(s, "s", 0, UnsupportedSmoothnessError) + 3)
     return (lo, 59)
 
 
