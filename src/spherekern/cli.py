@@ -37,7 +37,9 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ParameterError, _check_lam, _in_range
+from .errors import (
+    ConfigurationError, NumericalError, ParameterError, _check_int, _check_lam, _in_range,
+)
 from .kernels import _check_unit_rows, make_kernel
 from .serialize import csv_table, json_document
 from .spectral import (
@@ -230,19 +232,18 @@ def _check_values(cfg):
     """Reject out-of-range values, also by the library's lam and window rules, before any work."""
     if cfg["format"] not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {cfg['format']!r}")
-    if cfg["workers"] is not None and cfg["workers"] < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {cfg['workers']}")
-    for pname, value in cfg.items():
-        sign = _SIGNS.get(pname)
-        if sign and not _in_range(value, allow_zero=sign == "non-negative"):
-            raise ConfigurationError(f"{pname} must be finite and {sign}, got {value!r}")
     try:
+        if cfg["workers"] is not None:
+            _check_int(cfg["workers"], "workers", 1)
+        for pname, value in cfg.items():
+            sign = _SIGNS.get(pname)
+            if sign and not _in_range(value, allow_zero=sign == "non-negative"):
+                raise ConfigurationError(f"{pname} must be finite and {sign}, got {value!r}")
         if "lam" in cfg:
             _check_lam(cfg["lam"])
         if "degree_min" in cfg:
             lo, hi = _degree_range(cfg)
-            if lo < 0:
-                raise ConfigurationError(f"degree_min {lo} is below 0")
+            _check_int(lo, "degree_min", 0)
             for name, bound in (("degree_max", hi), ("max_degree", cfg["max_degree"])):
                 if lo > bound:
                     raise ConfigurationError(f"degree_min {lo} is above {name} {bound}")

@@ -386,25 +386,36 @@ class McOracleConfig:
         _check_int(self.chunk_size, "chunk_size", 1)
 
 
-def _mc_integrand(spec, u, g1, g2):
+def _mc_integrand(spec, u, g1, g2, out):
     """Per-sample integrand of the Monte-Carlo oracle for projections g1, g2.
 
-    ``c^2 q^s`` with ``q = a_1(g1) a_1(g2)``, plus ``c^2 u s^2 q^(s-1)`` for NT.
-    q is formed once and its powers by products; q^0 is the step-function
-    product, tested on min(g1, g2) because q itself can underflow to 0.
+    ``c^2 q^s`` with ``q = a_1(g1) a_1(g2)``, plus ``c^2 u s^2 q^(s-1)`` for NT,
+    written into ``out``, which is returned.  It takes no buffer of its own:
+    q overwrites g1, and g2 holds q^2 and then the NT term.  q^0 is the
+    step-function product, tested on min(g1, g2) into ``out`` before g1 and g2
+    are overwritten, because q itself can underflow to 0.  Each value takes
+    the products of the out-of-place form in the same order, ``c2 * q`` or
+    ``c2 * (q^(s-1) * q)`` plus ``(c2 u s s) * q^(s-1)``, so it is the same bits.
     """
     s, c2 = spec.s, spec.c_squared
-    q = np.maximum(g1, 0.0)
-    q *= np.maximum(g2, 0.0)
+    nt = spec.family == "nt"
     if s == 1:
-        low = (np.minimum(g1, g2) > 0.0).astype(float)
-        vals = c2 * q
+        np.greater(np.minimum(g1, g2, out=out), 0.0, out=out)
+    q = np.maximum(g1, 0.0, out=g1)
+    q *= np.maximum(g2, 0.0, out=g2)
+    if s == 1:
+        if nt:
+            np.multiply(out, c2 * u * s * s, out=g2)
+        np.multiply(q, c2, out=out)
     else:
-        low = q if s == 2 else q * q  # q^(s-1)
-        vals = c2 * (low * q)
-    if spec.family == "nt":
-        vals += c2 * u * s * s * low
-    return vals
+        low = q if s == 2 else np.multiply(q, q, out=g2)  # q^(s-1)
+        np.multiply(low, q, out=out)
+        out *= c2
+        if nt:
+            np.multiply(low, c2 * u * s * s, out=g2)
+    if nt:
+        out += g2
+    return out
 
 
 def mc_estimate(spec, x, x_prime, cfg):
@@ -416,6 +427,11 @@ def mc_estimate(spec, x, x_prime, cfg):
     ``a_s(z) = max(0, z)^s`` and ``a_0`` the step function.  Each chunk of
     samples adds its sum and its sum of squares (one dot product) to the
     running totals, in chunk order.
+
+    A chunk holds d + 3 chunk-sized float buffers at most: the draw W
+    (take x d), freed once the projections ``g1 = W x`` and ``g2 = W x'`` are
+    formed, those two and the integrand's output.  The last three are
+    allocated once per call and reused by every chunk.
 
     Returns
     -------
@@ -431,6 +447,7 @@ def mc_estimate(spec, x, x_prime, cfg):
     _check_unit_rows([x, x_prime], "mc_estimate input")
 
     u = float(np.clip(x @ x_prime, -1.0, 1.0))
+    g1, g2, vals = np.empty((3, min(cfg.chunk_size, cfg.sample_count)))
     total = 0.0
     total_sq = 0.0
     n_done = 0
@@ -439,9 +456,12 @@ def mc_estimate(spec, x, x_prime, cfg):
         take = min(cfg.chunk_size, cfg.sample_count - n_done)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
         W = rng.standard_normal((take, spec.d))
-        vals = _mc_integrand(spec, u, W @ x, W @ x_prime)
-        total += float(vals.sum())
-        total_sq += float(vals @ vals)
+        np.matmul(W, x, out=g1[:take])
+        np.matmul(W, x_prime, out=g2[:take])
+        del W
+        chunk = _mc_integrand(spec, u, g1[:take], g2[:take], vals[:take])
+        total += float(chunk.sum())
+        total_sq += float(chunk @ chunk)
         n_done += take
         chunk_index += 1
 

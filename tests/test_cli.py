@@ -127,9 +127,9 @@ class TestExitCodes:
         (["matern-compare", "--s", "1", "--nu", "1.5", "--degree-min", "61",
           "--degree-max", "80"], "degree_min 61 is above max_degree 60"),
         (["matern-compare", "--s", "1", "--nu", "1.5", "--degree-min", "-3"],
-         "degree_min -3 is below 0"),
+         "degree_min must be a non-negative integer, got -3"),
         (["eigendecay", "--family", "nt", "--s", "1", "--degree-min", "-3"],
-         "degree_min -3 is below 0"),
+         "degree_min must be a non-negative integer, got -3"),
         (["eigendecay", "--family", "nt", "--s", "1", "--parity", "foo"],
          "parity must be 'even', 'odd' or 'all', got 'foo'"),
         (["matern-compare", "--s", "1", "--nu", "1.5", "--parity", "foo"],
@@ -147,9 +147,9 @@ class TestExitCodes:
         (["sample-greedy", "--family", "nt", "--s", "1", "--lam", "1e154"],
          _LAM_RANGE + "1e+154"),
         (["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--workers", "-3"],
-         "workers must be >= 1, got -3"),
+         "need an integer workers >= 1, got -3"),
         (["spectrum", "--family", "nt", "--s", "1", "--workers", "0"],
-         "workers must be >= 1, got 0"),
+         "need an integer workers >= 1, got 0"),
     ])
     def test_out_of_range_value_is_two_before_any_work(self, argv, message, monkeypatch,
                                                        capsys):

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import sqrt
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -457,10 +460,47 @@ class TestMonteCarlo:
         literal = c2 * a(s, g1) * a(s, g2)
         if family == "nt":
             literal = literal + c2 * u * s * s * a(s - 1, g1) * a(s - 1, g2)
-        fused = kernels._mc_integrand(spec, u, g1, g2)
+        out = np.empty_like(g1)
+        fused = kernels._mc_integrand(spec, u, g1, g2, out)
+        assert fused is out
         assert_allclose(fused, literal, rtol=1e-15, atol=0)
         if family == "nt" and s == 1:
             assert np.all(fused[12:16] == c2 * u)  # the step term survives underflow
+
+    @pytest.mark.parametrize("chunk_size", [1 << 10, McOracleConfig(1, 0).chunk_size])
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_bitwise_equal_to_per_chunk_reference(self, s, family, d, chunk_size):
+        """The in-place chunk loop gives the bits of the out-of-place one, at
+        one sample, one chunk less one, one chunk and two chunks and a bit."""
+        spec = KernelSpec(family, s, d=d)
+        rng = np.random.default_rng([d, s])
+        x, xp = rng.standard_normal((2, d))
+        x, xp = x / np.linalg.norm(x), xp / np.linalg.norm(xp)
+        for n in (1, chunk_size - 1, chunk_size, 2 * chunk_size + 5):
+            cfg = McOracleConfig(n, seed=17, chunk_size=chunk_size)
+            assert mc_estimate(spec, x, xp, cfg) == _reference_mc(spec, x, xp, cfg), n
+
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_chunk_holds_d_plus_three_buffers(self, s, family, d):
+        """One call's traced peak stays under d + 4 chunk-sized float buffers:
+        the draw W (d), the projections g1 and g2 and the output, plus one of
+        slack for the generator and the chunk sums."""
+        spec = KernelSpec(family, s, d=d)
+        x = np.eye(d)[0]
+        xp = np.full(d, 1.0 / sqrt(d))
+        cfg = McOracleConfig(sample_count=(1 << 17) * 2 + 5, seed=3)
+        mc_estimate(spec, x, xp, McOracleConfig(1, 0))  # numpy.random's first-use imports
+        tracemalloc.start()
+        try:
+            mc_estimate(spec, x, xp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (d + 4) * 8 * cfg.chunk_size
 
     def test_chunking_covers_all_samples(self):
         """A sample count spanning several chunks still averages every draw."""
@@ -486,3 +526,34 @@ class TestMonteCarlo:
                     np.array([1.0, 0.0, 0.0]),
                     McOracleConfig(sample_count=100, seed=0),
                 )
+
+
+def _reference_mc(spec, x, xp, cfg):
+    """The oracle written out of place, chunk by chunk: a new array per step."""
+    u = float(np.clip(x @ xp, -1.0, 1.0))
+    s, c2 = spec.s, spec.c_squared
+    total = total_sq = 0.0
+    n_done = chunk_index = 0
+    while n_done < cfg.sample_count:
+        take = min(cfg.chunk_size, cfg.sample_count - n_done)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
+        W = rng.standard_normal((take, spec.d))
+        g1, g2 = W @ x, W @ xp
+        q = np.maximum(g1, 0.0) * np.maximum(g2, 0.0)
+        if s == 1:
+            low = (np.minimum(g1, g2) > 0.0).astype(float)
+            vals = c2 * q
+        else:
+            low = q if s == 2 else q * q
+            vals = c2 * (low * q)
+        if spec.family == "nt":
+            vals = vals + c2 * u * s * s * low
+        total += float(vals.sum())
+        total_sq += float(vals @ vals)
+        n_done += take
+        chunk_index += 1
+    mean = total / n_done
+    if n_done == 1:
+        return mean, float("inf")
+    var = max(total_sq - n_done * mean * mean, 0.0) / (n_done - 1)
+    return mean, sqrt(var / n_done)
