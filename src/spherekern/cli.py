@@ -32,7 +32,6 @@ accuracy, fit, or experiment errors).
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from .errors import (
     ConfigurationError, NumericalError, ParameterError, _check_int, _check_lam, _in_range,
 )
-from .kernels import _check_unit_rows, make_kernel
+from .kernels import _available_cpus, _check_unit_rows, make_kernel
 from .serialize import csv_table, json_document
 from .spectral import (
     MaternSpec,
@@ -375,7 +374,7 @@ def cmd_error_rate(cfg):
         n0=cfg["n0"],
         ridge=cfg["ridge"],
         nested=not cfg["independent"],
-        workers=cfg["workers"] if cfg["workers"] is not None else os.cpu_count(),
+        workers=cfg["workers"] if cfg["workers"] is not None else _available_cpus(),
     )
     return report.to_csv(), lambda: report.to_json(config=cfg)
 

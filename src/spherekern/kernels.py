@@ -18,7 +18,11 @@ against mpmath).  Deeper networks (``l > 2``) are handled by the layer recursion
 Every public evaluator, ``rf_derivative`` included, goes through one path:
 it validates ``u`` once, on entry (NaN is rejected), then evaluates it in
 cache-sized blocks.  A seeded Monte-Carlo oracle estimates the defining Gaussian
-expectations directly and is used to validate the closed forms.
+expectations directly and is used to validate the closed forms.  It draws its
+samples in chunks, each from its own Philox substream, on one thread per
+available CPU (at most one per chunk); every worker fills buffers that the
+calling thread allocated, and the chunk sums are added in chunk order, so the
+estimate has the same bits on any number of threads.
 
 A Gram matrix takes one n x n buffer: numpy computes ``X @ X.T`` as an
 exactly symmetric rank-k update (``test_kernels.py::TestGram::
@@ -30,6 +34,7 @@ regression code then shifts and factors in place.  Only the effective
 dimension of ``infogain`` needs a second n x n array, for L^{-1}.
 """
 
+import os
 from dataclasses import dataclass
 from math import prod, sqrt
 
@@ -53,7 +58,8 @@ _UNIT_NORM_TOL = 1e-8
 _SUPPORTED_S = (1, 2, 3)
 
 #: Entries per block of the layer recursion: one block's temporaries (256 KB
-#: each) stay in L2 cache.  Also the size of the error-rate evaluation tiles.
+#: each) stay in L2 cache.  Also the size of the error-rate evaluation tiles and
+#: the row block of the Monte-Carlo draws.
 _BLOCK = 1 << 15
 
 
@@ -370,7 +376,9 @@ class McOracleConfig:
 
     Samples are generated in fixed-size chunks, each from an independent
     Philox substream (``jumped(chunk_index)``), so the estimate is
-    bit-reproducible no matter how chunks are scheduled across workers.
+    bit-reproducible no matter how chunks are scheduled across workers:
+    ``mc_estimate`` runs them on as many threads as the process has CPUs
+    (at most one per chunk) and adds their sums in chunk order.
     The Philox stream, the chunk size and the order in which chunk sums
     are accumulated are the reproducibility contract: changing any of them
     changes the estimate.
@@ -418,6 +426,37 @@ def _mc_integrand(spec, u, g1, g2, out):
     return out
 
 
+def _available_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mc_chunks(spec, u, x, x_prime, cfg, chunks, W, g, vals):
+    """(sum, sum of squares) of each chunk in ``chunks``, in the given buffers.
+
+    A chunk's draw comes from its own Philox substream in row blocks of
+    ``len(W)`` rows; each block's projections ``g[0] = W x`` and ``g[1] = W x'``
+    and its integrand fill the next rows of ``vals``.  The sum and the dot
+    product run over the whole chunk, so they are the bits of one draw.
+    """
+    block = len(W)
+    pairs = []
+    for c in chunks:
+        take = min(cfg.chunk_size, cfg.sample_count - c * cfg.chunk_size)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(c))
+        for r in range(0, take, block):
+            b = min(block, take - r)
+            rng.standard_normal(out=W[:b])
+            np.matmul(W[:b], x, out=g[0, :b])
+            np.matmul(W[:b], x_prime, out=g[1, :b])
+            _mc_integrand(spec, u, g[0, :b], g[1, :b], vals[r:r + b])
+        chunk = vals[:take]
+        pairs.append((float(chunk.sum()), float(chunk @ chunk)))
+    return pairs
+
+
 def mc_estimate(spec, x, x_prime, cfg):
     """Monte-Carlo estimate of a 2-layer kernel value with its standard error.
 
@@ -428,10 +467,14 @@ def mc_estimate(spec, x, x_prime, cfg):
     samples adds its sum and its sum of squares (one dot product) to the
     running totals, in chunk order.
 
-    A chunk holds d + 3 chunk-sized float buffers at most: the draw W
-    (take x d), freed once the projections ``g1 = W x`` and ``g2 = W x'`` are
-    formed, those two and the integrand's output.  The last three are
-    allocated once per call and reused by every chunk.
+    The chunks run on w = min(available CPUs, chunks) threads: worker k takes
+    chunks k, k + w, k + 2w, ..., and the caller adds their sums in chunk
+    order, so the result does not depend on w.  With w = 1 the worker runs in
+    the calling thread.  Each worker holds one chunk-length output buffer plus
+    d + 2 columns of one row block (min(``_BLOCK``, chunk, n) rows): the draw
+    W and the projections ``g1 = W x`` and ``g2 = W x'``.  All of them are
+    allocated here, in the calling thread, since memory freed by a worker
+    thread would stay in that thread's malloc arena.
 
     Returns
     -------
@@ -447,28 +490,37 @@ def mc_estimate(spec, x, x_prime, cfg):
     _check_unit_rows([x, x_prime], "mc_estimate input")
 
     u = float(np.clip(x @ x_prime, -1.0, 1.0))
-    g1, g2, vals = np.empty((3, min(cfg.chunk_size, cfg.sample_count)))
+    n = cfg.sample_count
+    n_chunks = -(-n // cfg.chunk_size)
+    workers = min(_available_cpus(), n_chunks)
+    length = min(cfg.chunk_size, n)
+    block = min(_BLOCK, length)
+    W = np.empty((workers, block, spec.d))
+    g = np.empty((workers, 2, block))
+    vals = np.empty((workers, length))
+
+    def work(k):
+        return _mc_chunks(spec, u, x, x_prime, cfg, range(k, n_chunks, workers),
+                          W[k], g[k], vals[k])
+
+    if workers == 1:
+        per_worker = [work(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            per_worker = list(pool.map(work, range(workers)))
     total = 0.0
     total_sq = 0.0
-    n_done = 0
-    chunk_index = 0
-    while n_done < cfg.sample_count:
-        take = min(cfg.chunk_size, cfg.sample_count - n_done)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
-        W = rng.standard_normal((take, spec.d))
-        np.matmul(W, x, out=g1[:take])
-        np.matmul(W, x_prime, out=g2[:take])
-        del W
-        chunk = _mc_integrand(spec, u, g1[:take], g2[:take], vals[:take])
-        total += float(chunk.sum())
-        total_sq += float(chunk @ chunk)
-        n_done += take
-        chunk_index += 1
+    for c in range(n_chunks):
+        chunk_sum, chunk_sq = per_worker[c % workers][c // workers]
+        total += chunk_sum
+        total_sq += chunk_sq
 
-    mean = total / n_done
-    if n_done > 1:
-        var = max(total_sq - n_done * mean * mean, 0.0) / (n_done - 1)
-        std_error = sqrt(var / n_done)
+    mean = total / n
+    if n > 1:
+        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+        std_error = sqrt(var / n)
     else:
         std_error = float("inf")
     return mean, std_error

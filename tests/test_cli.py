@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from spherekern import (
     effective_dimension,
+    experiments,
     gram,
     information_gain,
     make_kernel,
@@ -295,6 +296,27 @@ class TestConfigResolution:
             with pytest.raises(ConfigurationError, match="is not of type"):
                 self._resolve(["infogain", "--family", "nt", "--s", "1"], bad,
                               tmp_path=tmp_path)
+
+    @pytest.mark.parametrize("flags, workers", [((), 3), (("--workers", "2"), 2)])
+    def test_error_rate_workers_default_to_available_cpus(self, flags, workers,
+                                                          monkeypatch):
+        """Without --workers, error-rate starts one worker per CPU the process may
+        run on (its affinity mask), not one per CPU of the host."""
+        class Stop(Exception):
+            pass
+
+        def record(*args, workers, **kwargs):
+            seen.append(workers)
+            raise Stop
+
+        seen = []
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(experiments, "error_rate_experiment", record)
+        cfg = self._resolve(["error-rate", "--family", "nt", "--s", "1", "--d", "3", *flags])
+        with pytest.raises(Stop):
+            cli.cmd_error_rate(cfg)
+        assert seen == [workers]
+        assert cfg["workers"] == (None if not flags else workers)
 
     def test_output_paths_never_echoed(self, tmp_path):
         cfg = self._resolve(["spectrum", "--family", "nt", "--s", "1"],

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from math import sqrt
 
@@ -482,25 +483,66 @@ class TestMonteCarlo:
             cfg = McOracleConfig(n, seed=17, chunk_size=chunk_size)
             assert mc_estimate(spec, x, xp, cfg) == _reference_mc(spec, x, xp, cfg), n
 
+    @pytest.mark.parametrize("chunk_size", [1 << 10, McOracleConfig(1, 0).chunk_size])
     @pytest.mark.parametrize("d", [3, 5])
     @pytest.mark.parametrize("family", ["rf", "nt"])
     @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_chunk_holds_d_plus_three_buffers(self, s, family, d):
-        """One call's traced peak stays under d + 4 chunk-sized float buffers:
-        the draw W (d), the projections g1 and g2 and the output, plus one of
-        slack for the generator and the chunk sums."""
+    def test_bitwise_equal_at_every_worker_count(self, s, family, d, chunk_size,
+                                                 monkeypatch):
+        """One, two, three or more worker threads than chunks: the same bits as
+        the per-chunk reference, since chunk sums are added in chunk order."""
+        spec = KernelSpec(family, s, d=d)
+        rng = np.random.default_rng([d, s, 1])
+        x, xp = rng.standard_normal((2, d))
+        x, xp = x / np.linalg.norm(x), xp / np.linalg.norm(xp)
+        for n in (1, chunk_size - 1, chunk_size, 2 * chunk_size + 5):
+            cfg = McOracleConfig(n, seed=19, chunk_size=chunk_size)
+            expected = _reference_mc(spec, x, xp, cfg)
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(kernels, "_available_cpus", lambda: workers)
+                assert mc_estimate(spec, x, xp, cfg) == expected, (n, workers)
+
+    def test_threads_share_no_buffer(self, monkeypatch):
+        """Eight threads switching every microsecond over 19 chunks, more
+        threads than cores: a buffer that two workers shared would mix their
+        chunks and break the bits."""
+        spec = KernelSpec("nt", 2, d=4)
+        x, xp = np.eye(4)[0], np.full(4, 0.5)
+        cfg = McOracleConfig(18 * (1 << 13) + 3, seed=23, chunk_size=1 << 13)
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert mc_estimate(spec, x, xp, cfg) == _reference_mc(spec, x, xp, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_workers_hold_one_chunk_and_d_plus_two_blocks(self, s, family, d, workers,
+                                                          monkeypatch):
+        """One call's traced peak stays under w (chunk + (d + 2) block) floats
+        for w workers: each one's output buffer, draw block W (d columns) and
+        projection blocks g1 and g2, plus one chunk of slack for the
+        generators, the threads and the chunk sums."""
         spec = KernelSpec(family, s, d=d)
         x = np.eye(d)[0]
         xp = np.full(d, 1.0 / sqrt(d))
         cfg = McOracleConfig(sample_count=(1 << 17) * 2 + 5, seed=3)
-        mc_estimate(spec, x, xp, McOracleConfig(1, 0))  # numpy.random's first-use imports
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: workers)
+        # numpy.random's and the thread pool's first-use imports
+        mc_estimate(spec, x, xp, McOracleConfig(2, 0, chunk_size=1))
         tracemalloc.start()
         try:
             mc_estimate(spec, x, xp, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (d + 4) * 8 * cfg.chunk_size
+        block = min(_BLOCK, cfg.chunk_size)
+        assert peak <= 8 * (workers * (cfg.chunk_size + (d + 2) * block) + cfg.chunk_size)
 
     def test_chunking_covers_all_samples(self):
         """A sample count spanning several chunks still averages every draw."""
