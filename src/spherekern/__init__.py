@@ -1,9 +1,9 @@
 """spherekern: neural-kernel spectra and regression on the sphere.
 
 ``import spherekern`` loads the kernel and spectral layers only.  The names
-of ``regression`` and ``experiments`` (and through them ``scipy.linalg``)
-are resolved on first access by the module ``__getattr__`` (PEP 562), so
-a process that never fits a model never imports them.
+of ``regression`` and ``experiments`` are resolved on first access by the
+module ``__getattr__`` (PEP 562), so a process that never fits a model
+never imports them.  The package's only dependency is numpy.
 """
 
 __version__ = "0.1.0"

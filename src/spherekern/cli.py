@@ -20,9 +20,9 @@ workers at least 1, parity even, odd or all, and degree_min (or its
 default) non-negative and no larger than degree_max and max_degree.
 
 Only infogain, sample-greedy, error-rate and mig-growth import
-``regression``, ``experiments`` and ``scipy.linalg``, each at the entry of
-its handler, before any work: kernel-eval, spectrum, eigendecay and
-matern-compare never load them.
+``regression`` and ``experiments``, each at the entry of its handler, before
+any work: kernel-eval, spectrum, eigendecay and matern-compare never load
+them.  No subcommand imports scipy.
 
 Exit codes: 0 success, 2 configuration error (bad parameters, domains,
 unsupported values), 3 numerical failure (factorization, spectral

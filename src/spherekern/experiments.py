@@ -32,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve, solve_triangular
 
 from .errors import (
     DegenerateFunctionError,
@@ -46,7 +45,13 @@ from .errors import (
     _check_positive,
 )
 from .kernels import _BLOCK, _check_unit_rows, _cross_gram, gram, make_kernel
-from .regression import _ridge_factor, greedy_max_variance, sample_sphere
+from .regression import (
+    _ridge_factor,
+    cho_solve,
+    greedy_max_variance,
+    sample_sphere,
+    solve_triangular,
+)
 from .serialize import JsonReport, csv_table
 from .spectral import _loglog_fit
 
@@ -158,7 +163,7 @@ def make_synthetic(kernel, d, n0=100, ridge=0.01, seed=0, range_sample=10_000,
             raise ParameterError(f"anchor_values must have shape ({n0},)")
 
     L, _ = _ridge_factor(kernel, anchors, ridge)
-    weights = cho_solve((L, True), y_hat)
+    weights = cho_solve(L, y_hat)
     norm_sq = float(weights @ (K @ weights))
     cap = float(y_hat @ y_hat) / ridge
     if norm_sq > cap + 1e-6:
@@ -253,15 +258,17 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
         P = sample_sphere(d, size, [rep_seed, SALT_TRAIN, *salt])
         noise = np.random.default_rng([rep_seed, SALT_NOISE, *salt]).standard_normal(size)
         L, _ = _ridge_factor(kernel, P, train_lam2)
-        # no n^2 finiteness masks: cholesky checked L's input, the rhs is kernel values and noise
-        z = solve_triangular(L, target._values(P) + noise * noise_scale, lower=True,
-                             check_finite=False)
+        z = solve_triangular(L, target._values(P) + noise * noise_scale)
         Z = np.where(np.arange(size)[:, None] < sizes, z[:, None], 0.0)
-        blocks.append(solve_triangular(L, Z, trans="T", lower=True, check_finite=False))
+        blocks.append(solve_triangular(L, Z, trans="T", overwrite_b=True))
         del L  # before the next pool's Gram and the evaluation stream
         sets.append(P)
     X = np.vstack(sets)
-    alpha = block_diag(*blocks)
+    alpha = np.zeros((X.shape[0], len(n_grid)))
+    row = col = 0
+    for block in blocks:
+        alpha[row:row + block.shape[0], col:col + block.shape[1]] = block
+        row, col = row + block.shape[0], col + block.shape[1]
 
     # each pool passed the unit-norm check in _ridge_factor and the anchors
     # theirs when the target was built; the evaluation points are checked

@@ -438,8 +438,11 @@ def _mc_chunks(spec, u, x, x_prime, cfg, chunks, W, g, vals):
 
     A chunk's draw comes from its own Philox substream in row blocks of
     ``len(W)`` rows; each block's projections ``g[0] = W x`` and ``g[1] = W x'``
-    and its integrand fill the next rows of ``vals``.  The sum and the dot
-    product run over the whole chunk, so they are the bits of one draw.
+    and its integrand fill the next rows of ``vals``.  The sum and the sum of
+    squares run over the whole chunk, so they are the bits of one draw.  The
+    squares are summed by ``np.einsum``, not a BLAS dot product, whose bits
+    would depend on the BLAS thread count, and with no chunk-length
+    temporary.
     """
     block = len(W)
     pairs = []
@@ -453,7 +456,7 @@ def _mc_chunks(spec, u, x, x_prime, cfg, chunks, W, g, vals):
             np.matmul(W[:b], x_prime, out=g[1, :b])
             _mc_integrand(spec, u, g[0, :b], g[1, :b], vals[r:r + b])
         chunk = vals[:take]
-        pairs.append((float(chunk.sum()), float(chunk @ chunk)))
+        pairs.append((float(chunk.sum()), float(np.einsum("i,i", chunk, chunk))))
     return pairs
 
 
@@ -464,8 +467,8 @@ def mc_estimate(spec, x, x_prime, cfg):
     ``c^2 * a_s(w.x) a_s(w.x')`` for RF, plus the derivative term
     ``c^2 * (x.x') * s^2 * a_{s-1}(w.x) a_{s-1}(w.x')`` for NT, with
     ``a_s(z) = max(0, z)^s`` and ``a_0`` the step function.  Each chunk of
-    samples adds its sum and its sum of squares (one dot product) to the
-    running totals, in chunk order.
+    samples adds its sum and its sum of squares to the running totals, in
+    chunk order.
 
     The chunks run on w = min(available CPUs, chunks) threads: worker k takes
     chunks k, k + w, k + 2w, ..., and the caller adds their sums in chunk

@@ -20,21 +20,27 @@ bit for bit.  Every K + shift I, a fit's, a point set's or a synthetic
 target's, is built and factored by :func:`_ridge_factor`, and a point set's
 K + lam^2 I takes one n x n buffer from inner products to factor:
 ``kernels.gram`` writes the kernel values over the inner products, lam^2
-goes onto that array's diagonal, and the lower factor overwrites it.
-Only the effective dimension needs a second n x n array, the one L^{-1}
-is solved into.
+goes onto that array's diagonal, and the lower factor overwrites it.  The
+effective dimension reads L^{-1} one column block at a time, so it adds
+O(n * block) memory, not a second n x n array.
 
-Greedy selection grows the inverse of the factor one row at a time and
-evaluates the kernel only on the rows of the points it selects, so an
-n-step run over an m-point grid costs n*m kernel evaluations, O(n^2 m)
-arithmetic and O(n m) memory; it never forms the m x m grid Gram.
+Greedy selection grows the factor one row at a time and evaluates the
+kernel only on the rows of the points it selects, so an n-step run over an
+m-point grid costs n*m kernel evaluations, O(n^2 m) arithmetic and O(n m)
+memory; it never forms the m x m grid Gram.
+
+The factorization and the triangular solves (:func:`cholesky`,
+:func:`solve_triangular`, :func:`cho_solve`) are blocked algorithms on
+numpy alone: level-3 products over blocks of columns, with
+``np.linalg.cholesky`` and an exact lower-triangular inverse for the
+diagonal blocks.  All three take lower-triangular factors, and the
+factorization works in place on a C-ordered buffer.
 """
 
 from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import (
     ConfigurationError,
@@ -163,17 +169,120 @@ def sample_sphere(d, n, seed):
     return X / norms
 
 
+#: Rows per block of a triangular solve.  Each block's inverse costs about
+#: block^2/3 multiply-adds per row, so few right-hand sides want small blocks.
+_SOLVE_BLOCK = 64
+
+
+def _block_size(n):
+    """Columns per block of an n x n Cholesky factorization: the power of two
+    at or above n/8, within [64, 256]."""
+    return min(256, max(64, 1 << ((n - 1) // 8).bit_length()))
+
+
+def _tril_inverse(t):
+    """Inverse of the lower triangle of square ``t``, exactly lower triangular.
+
+    inv([[A, 0], [C, D]]) = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]], split
+    in halves down to blocks of at most 32 rows, which ``np.linalg.inv``
+    inverts; a singular triangle raises ``np.linalg.LinAlgError``.
+    """
+    n = t.shape[0]
+    if n <= 32:
+        return np.tril(np.linalg.inv(np.tril(t)))
+    h = n // 2
+    out = np.zeros((n, n))
+    out[:h, :h] = _tril_inverse(t[:h, :h])
+    out[h:, h:] = _tril_inverse(t[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (t[h:, :h] @ out[:h, :h]))
+    return out
+
+
+def cholesky(a, overwrite_a=False):
+    """Lower Cholesky factor L of a symmetric positive definite matrix, L L^T = a.
+
+    Only the lower triangle of ``a`` is read; the strict upper triangle of L
+    is zero.  With ``overwrite_a`` a C-ordered float array is factored in
+    place and returned; any other input is copied first.  The factorization
+    is left-looking over blocks of :func:`_block_size` columns: a block
+    column is updated by the columns left of it, one row block per
+    ``np.matmul`` into one block-sized buffer; its diagonal block is then
+    factored by ``np.linalg.cholesky``, which raises
+    ``np.linalg.LinAlgError`` if that block is not positive definite, and the
+    rows below are multiplied by the transposed inverse of that factor.  The
+    input is not checked for finiteness: a NaN or inf in the lower triangle
+    reaches the diagonal of L or fails the factorization.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    L = a if overwrite_a and a.dtype == float and a.flags.carray else np.array(a, float, order="C")
+    n = L.shape[0]
+    b = _block_size(n)
+    prod = np.empty((b, b))
+    for c0 in range(0, n, b):
+        c1 = min(c0 + b, n)
+        left = L[c0:c1, :c0].T
+        for r0 in range(c0, n, b):
+            r1 = min(r0 + b, n)
+            rows, out = L[r0:r1, c0:c1], prod[:r1 - r0, :c1 - c0]
+            rows -= np.matmul(L[r0:r1, :c0], left, out=out)
+            if r0 == c0:
+                rows[...] = np.linalg.cholesky(rows)
+                inv_t = _tril_inverse(rows).T
+            else:
+                rows[...] = np.matmul(rows, inv_t, out=out)
+        L[c0:c1, c1:] = 0.0
+    return L
+
+
+def solve_triangular(a, b, trans="N", overwrite_b=False):
+    """Solve L x = b (``trans="N"``) or L^T x = b (``trans="T"``), L = ``a``
+    lower triangular; its strict upper triangle is not read.
+
+    ``b`` is a vector or a matrix of right-hand sides.  With ``overwrite_b``
+    a writable float ``b`` is overwritten by x and returned.  Blocked
+    substitution over blocks of ``_SOLVE_BLOCK`` rows: each block of x takes
+    one ``np.matmul`` with the rows of x already solved and one with the
+    inverse of its diagonal block of L; a zero on the diagonal of L raises
+    ``np.linalg.LinAlgError``.
+    """
+    if trans not in ("N", "T"):
+        raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
+    b = np.asarray(b)
+    n = a.shape[0]
+    x = b if overwrite_b and b.dtype == float and b.flags.writeable else b.astype(float)
+    if a.shape != (n, n) or x.shape[0] != n:
+        raise ValueError(f"shapes {a.shape} and {x.shape} do not match")
+    rows = x.reshape(n, -1)  # a view, for a vector and for a matrix of any layout
+    starts = range(0, n, _SOLVE_BLOCK)
+    for c0 in starts if trans == "N" else reversed(starts):
+        c1 = min(c0 + _SOLVE_BLOCK, n)
+        inv = _tril_inverse(a[c0:c1, c0:c1])
+        if trans == "N":
+            rows[c0:c1] = inv @ (rows[c0:c1] - a[c0:c1, :c0] @ rows[:c0])
+        else:
+            rows[c0:c1] = inv.T @ (rows[c0:c1] - a[c1:, c0:c1].T @ rows[c1:])
+    return x
+
+
+def cho_solve(c, b):
+    """Solve (L L^T) x = b from the lower Cholesky factor L = ``c``: a forward
+    and a back :func:`solve_triangular`."""
+    return solve_triangular(c, solve_triangular(c, b), trans="T", overwrite_b=True)
+
+
 def _chol_with_jitter(build):
     """``(L, jitter)``: lower Cholesky factor of ``build()``, escalating diagonal
     jitter on failure.
 
-    ``build`` returns a fresh, exactly symmetric, C-ordered matrix.  It is
-    factored in place through its Fortran-ordered transpose, which holds the
-    same numbers, so L shares its buffer.  A failed factorization leaves the
-    buffer overwritten, so each later rung calls ``build`` again.  LAPACK gets
-    the buffer unchecked; a factor with a non-finite diagonal counts as a
-    failed rung.  The jitter scale trace/n is formed only for a failed rung,
-    so the first rung's jitter is exactly 0.0 even where the trace overflows.
+    ``build`` returns a fresh, exactly symmetric, C-ordered float matrix.
+    :func:`cholesky` factors it in place, so L shares its buffer.  A failed
+    factorization leaves the buffer overwritten, so each later rung calls
+    ``build`` again.  The buffer is not checked for finiteness; a factor with
+    a non-finite diagonal counts as a failed rung.  The jitter scale trace/n
+    is formed only for a failed rung, so the first rung's jitter is exactly
+    0.0 even where the trace overflows.
     """
     A = build()
     n = A.shape[0]
@@ -185,11 +294,11 @@ def _chol_with_jitter(build):
             A = build()
             A.flat[:: n + 1] += jitter
         try:
-            L = cholesky(A.T, lower=True, overwrite_a=True, check_finite=False)
+            L = cholesky(A, overwrite_a=True)
         except np.linalg.LinAlgError:
             continue
-        # unchecked input: a NaN or inf in the triangle LAPACK reads reaches
-        # the diagonal of L (or fails the factorization), so this O(n) test
+        # unchecked input: a NaN or inf in the lower triangle reaches the
+        # diagonal of L (or fails the factorization), so this O(n) test
         # stands in for the n x n one
         if np.isfinite(L.diagonal()).all():
             return L, jitter
@@ -227,7 +336,7 @@ def fit(kernel, dataset, lam):
     if len(dataset) == 0:
         raise ConfigurationError("fit requires a non-empty dataset; use FittedRegressor.empty")
     L, jitter = _ridge_factor(kernel, dataset.X, lam * lam)
-    alpha = cho_solve((L, True), dataset.Y)
+    alpha = cho_solve(L, dataset.Y)
     return FittedRegressor(kernel, dataset.X, lam, L, alpha, jitter)
 
 
@@ -255,7 +364,7 @@ def predict_variance(model, x):
         out = np.full(pts.shape[0], kappa_one)
     else:
         k = _cross_gram(model.kernel, pts, model.X)
-        z = solve_triangular(model.L, k.T, lower=True)
+        z = solve_triangular(model.L, k.T)
         out = kappa_one - np.sum(z * z, axis=0)
         out = np.clip(out, 0.0, kappa_one)
     return float(out[0]) if scalar else out
@@ -302,10 +411,29 @@ def _ledger(variance, lam, kappa_one, lower=None):
 
 
 def _strict_row_squares(T):
-    """Per row i, sum_{j<i} T_ij^2 of a lower-triangular T, which it squares
-    in place after zeroing the diagonal: no n x n temporary."""
+    """Per row i, sum_{j<i} T_ij^2 of a T that is zero above its diagonal
+    (square, or with more rows than columns), which it squares in place
+    after zeroing the diagonal: no temporary of T's size."""
     np.fill_diagonal(T, 0.0)
     return np.square(T, out=T).sum(axis=1)
+
+
+def _inverse_row_squares(L):
+    """Per row i, sum_{j<i} (L^{-1})_ij^2 of a lower-triangular L, which it
+    leaves unchanged.
+
+    L^{-1} is solved one block of columns [c0, c1) at a time: those columns
+    are zero above row c0, and below it they solve L[c0:, c0:] X = the
+    matching columns of the identity.  That is n^3/6 multiply-adds and
+    O(n * block) memory, with no n x n temporary.
+    """
+    n = L.shape[0]
+    lower = np.zeros(n)
+    size = _block_size(n)
+    for c0 in range(0, n, size):
+        cols = np.eye(n - c0, min(size, n - c0))
+        lower[c0:] += _strict_row_squares(solve_triangular(L[c0:, c0:], cols, overwrite_b=True))
+    return lower
 
 
 def _infogain_summary(kernel, points, lam, effective_dim=True):
@@ -314,18 +442,14 @@ def _infogain_summary(kernel, points, lam, effective_dim=True):
     One Cholesky factor L of K + lam^2 I, from :func:`_ridge_factor`, feeds
     :func:`_ledger`: the sequential variances are sigma_{i-1}^2(x_i) =
     kappa(1) + jitter - sum_{j<i} L_ij^2, kappa(1) being every K_ii, and
-    the row norms m_i come from L^{-1}, solved into a second n x n buffer.
-    With ``effective_dim=False`` that solve, which only the effective
-    dimension needs, is skipped and the report's ``effective_dim`` is None.
+    the row norms m_i come from L^{-1} by :func:`_inverse_row_squares`.
+    With ``effective_dim=False`` those solves, which only the effective
+    dimension needs, are skipped and the report's ``effective_dim`` is None.
     """
     _check_lam(lam)
     L, jitter = _ridge_factor(kernel, points, lam * lam)
     n = L.shape[0]
-    lower = None
-    if effective_dim:
-        # the identity is solved in place: the second n x n buffer
-        L_inv = solve_triangular(L, np.eye(n, order="F"), lower=True, overwrite_b=True)
-        lower = _strict_row_squares(L_inv)
+    lower = _inverse_row_squares(L) if effective_dim else None
     variance = kernel.kappa_one + jitter - _strict_row_squares(L)
     info, eff, sum_var, bound = (None if a is None else float(a[-1])
                                  for a in _ledger(variance, lam, kernel.kappa_one, lower))
@@ -405,7 +529,9 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     carries lam^2 observation variance).  Returns a :class:`GreedyTrace`
     with the selection order, the variance at each selection, and per-prefix
     information gain, effective dimension, and variance-sum bound, all from
-    :func:`_ledger`.
+    :func:`_ledger`.  The steps store the rows of the growing factor; the
+    row norms of its inverse, which only the effective dimension needs, come
+    from the finished factor by :func:`_inverse_row_squares`.
     """
     _check_lam(lam)
     n = _check_int(n, "n", 1)
@@ -419,11 +545,12 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     lam2 = lam * lam
 
     V = np.empty((n, m))
-    L_inv = np.zeros((n, n))  # rows of the inverse of the growing factor
+    L = np.zeros((n, n))  # the growing factor of K + lam^2 I, row i = (v, ell)
     sigma2 = np.full(m, kappa_one)
     sel = np.empty(n, dtype=np.int64)
     variance = np.empty(n)
-    lower = np.empty(n)
+    u = np.empty(m)  # inner products with the selected point, then its kernel row
+    p = np.empty(m)  # v @ V[:i], then V[i]^2
 
     for i in range(n):
         j = int(np.argmax(sigma2))
@@ -438,19 +565,18 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
                 f"greedy step {i}: nonpositive Schur complement {schur:.3e}"
             )
         ell = sqrt(schur)
-        # appending row (v, ell) to L appends (-w / ell, 1 / ell) to L^{-1}
-        w = v @ L_inv[:i, :i]
-        L_inv[i, :i] = -w / ell
-        L_inv[i, i] = 1.0 / ell
-        lower[i] = float(w @ w) / schur
-        u = grid @ grid[j]
+        L[i, :i] = v
+        L[i, i] = ell
+        np.matmul(grid, grid[j], out=u)
         np.clip(u, -1.0, 1.0, out=u)
         u[j] = 1.0  # as in gram: the row's own entry is kappa(1) bit for bit
         k_row = kernel(u, out=u)
-        V[i] = (k_row - v @ V[:i]) / ell
-        sigma2 -= V[i] * V[i]
+        np.subtract(k_row, np.matmul(v, V[:i], out=p), out=V[i])
+        V[i] /= ell
+        sigma2 -= np.square(V[i], out=p)
         np.clip(sigma2, 0.0, None, out=sigma2)  # for the argmax; the ledger clamps its own input
 
+    lower = _inverse_row_squares(L)
     info, eff, sum_var, bound = _ledger(variance, lam, kappa_one, lower)
     return GreedyTrace(
         lam=lam,

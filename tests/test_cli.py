@@ -520,8 +520,8 @@ for argv in (
      "--degree-min", "6", "--degree-max", "28"],
 ):
     assert spherekern.cli.main(argv + ["--out", out]) == 0, argv
-loaded = [m for m in ("scipy.linalg", "spherekern.regression", "spherekern.experiments")
-          if m in sys.modules]
+loaded = [m for m in sys.modules
+          if m.split(".")[0] == "scipy" or m in ("spherekern.regression", "spherekern.experiments")]
 assert not loaded, loaded
 
 for name in spherekern.__all__[1:]:  # __version__ first, then classes and functions
@@ -537,8 +537,34 @@ print("ok")
 
 
 def test_cold_start_loads_no_factorization_modules(tmp_path):
-    """Subcommands that factor nothing never import regression, experiments or scipy.linalg."""
+    """Subcommands that factor nothing never import regression, experiments or scipy."""
     res = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "out.json")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "ok\n"
+
+
+# Run in a fresh interpreter: two subcommands that factor, then the modules loaded.
+_FITS_WITHOUT_SCIPY = """
+import sys
+import spherekern.cli
+out = sys.argv[1]
+for argv in (
+    ["infogain", "--family", "nt", "--s", "2", "--n", "64"],
+    [*%r, "--workers", "1"],
+):
+    assert spherekern.cli.main(argv + ["--out", out]) == 0, argv
+assert "spherekern.experiments" in sys.modules
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+print("ok")
+""" % (SMALL_ERROR_RATE,)
+
+
+def test_fitting_subcommands_load_no_scipy(tmp_path):
+    """Cholesky factors and triangular solves take numpy alone: infogain and
+    error-rate never import scipy."""
+    res = subprocess.run([sys.executable, "-c", _FITS_WITHOUT_SCIPY, str(tmp_path / "out.json")],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "ok\n"

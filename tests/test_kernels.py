@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import tracemalloc
 from math import sqrt
@@ -518,6 +520,19 @@ class TestMonteCarlo:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        """Six kernels in fresh interpreters at one and two OpenBLAS threads:
+        the same bits, since no chunk's sum of squares is a BLAS product."""
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            res = subprocess.run([sys.executable, "-c", _MC_THREADS], env=env,
+                                 capture_output=True, text=True)
+            assert res.returncode == 0, res.stderr
+            outputs.append(res.stdout)
+        assert outputs[0].count("\n") == 12
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("d", [3, 5])
     @pytest.mark.parametrize("family", ["rf", "nt"])
@@ -570,6 +585,20 @@ class TestMonteCarlo:
                 )
 
 
+# Prints the estimates and standard errors of six kernels at d = 3 as exact
+# hex floats; the caller sets the OpenBLAS thread count of the interpreter.
+_MC_THREADS = """
+import numpy as np
+from spherekern.kernels import KernelSpec, McOracleConfig, mc_estimate
+x, xp = np.eye(3)[0], np.full(3, 3 ** -0.5)
+for family in ("rf", "nt"):
+    for s in (1, 2, 3):
+        for n in (50_000, 200_001):
+            cfg = McOracleConfig(n, seed=5)
+            print(*map(float.hex, mc_estimate(KernelSpec(family, s, d=3), x, xp, cfg)))
+"""
+
+
 def _reference_mc(spec, x, xp, cfg):
     """The oracle written out of place, chunk by chunk: a new array per step."""
     u = float(np.clip(x @ xp, -1.0, 1.0))
@@ -591,7 +620,7 @@ def _reference_mc(spec, x, xp, cfg):
         if spec.family == "nt":
             vals = vals + c2 * u * s * s * low
         total += float(vals.sum())
-        total_sq += float(vals @ vals)
+        total_sq += float(np.einsum("i,i", vals, vals))
         n_done += take
         chunk_index += 1
     mean = total / n_done

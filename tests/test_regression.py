@@ -208,7 +208,7 @@ def _copying_ladder(A):
     for level in regression.JITTER_LADDER:
         shifted = A if level == 0.0 else A + (level * scale) * np.eye(n)
         try:
-            return scipy.linalg.cholesky(shifted, lower=True), level * scale
+            return regression.cholesky(shifted), level * scale
         except np.linalg.LinAlgError:
             continue
     raise AssertionError("the reference ladder failed")
@@ -234,7 +234,7 @@ class TestJitterLadder:
         L, jitter = _chol_with_jitter(A.copy)
         assert jitter == jitter_ref > 0.0
         assert L.tobytes(order="A") == L_ref.tobytes(order="A")
-        assert L.flags.f_contiguous and L_ref.flags.f_contiguous
+        assert L.flags.c_contiguous and L_ref.flags.c_contiguous
 
     def test_builds_once_per_rung(self):
         builds = []
@@ -268,6 +268,96 @@ class TestJitterLadder:
 
         with pytest.raises(IllConditionedGramError):
             _chol_with_jitter(build)
+
+
+def _ridge_gram(n, shift=0.1):
+    """K + shift I of n random points for NT s = 2 on S^2; its condition
+    number grows to about 5e3 at n = 1025."""
+    A = kernels.gram(make_kernel("nt", 2), sample_sphere(3, n, n))
+    A.flat[:: n + 1] += shift
+    return A
+
+
+# 1, B - 1, B, B + 1 and 3B + 5 for B = 64, the solves' block and the smallest
+# factor block, and one n on each side of every change of the factor's
+# regression._block_size (512 | 513, 1024 | 1025).
+_FACTOR_SIZES = (1, 63, 64, 65, 197, 512, 513, 1024, 1025)
+# At condition numbers up to 5e3 both factors (and both solutions) lie within
+# about cond * eps = 1e-12 of the exact ones; measured against scipy.linalg
+# the differences stay below 1.5e-14 of the largest entry, so allow 3e-14.
+_FACTOR_RTOL = 3e-14
+
+
+def _max_gap(got, want):
+    return np.abs(got - want).max(initial=0.0) / np.abs(want).max(initial=1.0)
+
+
+class TestFactorization:
+    """The numpy-only Cholesky factor and triangular solves against scipy.linalg."""
+
+    @pytest.mark.parametrize("n", _FACTOR_SIZES)
+    def test_cholesky_matches_scipy(self, n):
+        A = _ridge_gram(n)
+        before = A.copy()
+        L = regression.cholesky(A)
+        assert np.array_equal(A, before)
+        assert _max_gap(L, scipy.linalg.cholesky(A, lower=True)) <= _FACTOR_RTOL
+        assert not np.triu(L, 1).any()
+        assert L.flags.c_contiguous
+
+    def test_cholesky_in_place_reads_the_lower_triangle_only(self):
+        A = _ridge_gram(197)
+        L = regression.cholesky(A)
+        garbled = A.copy()
+        garbled[np.triu_indices(197, 1)] = np.nan
+        assert regression.cholesky(garbled, overwrite_a=True) is garbled
+        assert garbled.tobytes() == L.tobytes()
+        fortran = np.asfortranarray(A)
+        assert regression.cholesky(fortran, overwrite_a=True).tobytes() == L.tobytes()
+        assert np.array_equal(fortran, A)  # a Fortran-ordered input is copied
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_non_positive_definite_block_raises(self, block):
+        """n = 197 has blocks at rows 0, 64, 128 and 192, the last one partial."""
+        A = _ridge_gram(197)
+        A[64 * block + 3, 64 * block + 3] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            regression.cholesky(A)
+
+    @pytest.mark.parametrize("columns", [None, 7])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("n", _FACTOR_SIZES)
+    def test_solve_triangular_matches_scipy(self, n, trans, columns):
+        L = regression.cholesky(_ridge_gram(n))
+        b = np.random.default_rng(n).standard_normal(n if columns is None else (n, columns))
+        want = scipy.linalg.solve_triangular(L, b, lower=True, trans=trans)
+        before = b.copy()
+        L_garbled = L.copy()
+        L_garbled[np.triu_indices(n, 1)] = np.nan  # the strict upper triangle is not read
+        x = regression.solve_triangular(L_garbled, b, trans=trans)
+        assert np.array_equal(b, before) and x.shape == b.shape
+        assert _max_gap(x, want) <= _FACTOR_RTOL
+        assert regression.solve_triangular(L, b, trans=trans, overwrite_b=True) is b
+        assert b.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 65, 1025])
+    def test_cho_solve_matches_scipy(self, n):
+        L = regression.cholesky(_ridge_gram(n))
+        b = np.random.default_rng(n).standard_normal((n, 3))
+        want = scipy.linalg.cho_solve((L, True), b)
+        assert _max_gap(regression.cho_solve(L, b), want) <= _FACTOR_RTOL
+
+    @pytest.mark.parametrize("n", _FACTOR_SIZES)
+    def test_inverse_row_squares_match_the_full_inverse(self, n):
+        """The effective dimension's row norms of L^{-1}, one column block at a
+        time, against scipy's n x n inverse."""
+        L = regression.cholesky(_ridge_gram(n))
+        before = L.copy()
+        want = regression._strict_row_squares(
+            scipy.linalg.solve_triangular(L, np.eye(n), lower=True))
+        got = regression._inverse_row_squares(L)
+        assert np.array_equal(L, before)
+        assert _max_gap(got, want) <= _FACTOR_RTOL
 
 
 class TestMemoryCeilings:
@@ -547,15 +637,22 @@ class TestGreedyMaxVariance:
             assert_allclose(trace.effective_dim[i], d_direct, rtol=1e-6, atol=1e-9)
 
     def test_trace_update_needs_no_triangular_solve(self, monkeypatch):
-        """The trace of (K + lam^2 I)^{-1} grows from rows of the inverse factor."""
-        def forbidden(*args, **kwargs):
-            raise AssertionError("greedy step called solve_triangular")
+        """No greedy step solves: the trace of (K + lam^2 I)^{-1} comes from the
+        finished factor, whose inverse is solved once per column block (one
+        block of all 40 rows here)."""
+        real = regression.solve_triangular
+        rows = []
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return real(a, *args, **kwargs)
 
         grid = sample_sphere(3, 200, 8)
         k = make_kernel("nt", 2)
         with monkeypatch.context() as m:
-            m.setattr(regression, "solve_triangular", forbidden)
+            m.setattr(regression, "solve_triangular", counting)
             trace = greedy_max_variance(k, grid, 40, 0.5)
+        assert rows == [40]
         direct = [effective_dimension(k, trace.selected_points[:n], 0.5)
                   for n in range(1, 41)]
         assert_allclose(trace.effective_dim, direct, rtol=1e-12)
