@@ -258,10 +258,11 @@ def _u_values(cfg):
         raise ConfigurationError("kernel-eval needs --u values or --pair-file")
     try:
         with open(cfg["pair_file"], "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            fh.seek(0)
-            delim = "," if "," in first else None
-            rows = np.loadtxt(fh, delimiter=delim, ndmin=2)
+            lines = [ln for ln in fh if ln.split("#", 1)[0].strip()]
+        if not lines:
+            raise ConfigurationError(f"pair file {cfg['pair_file']} holds no pairs")
+        delim = "," if "," in lines[0] else None
+        rows = np.loadtxt(lines, delimiter=delim, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read pair file: {exc}")
     if rows.shape[1] % 2 != 0:

@@ -30,8 +30,9 @@ test_symmetric_psd`` pins it bit for bit), its diagonal is set to 1, the
 inner product of a unit vector with itself, so that every K_ii is
 ``kappa(1)`` bit for bit, and the kernel writes its values back into the
 same buffer (``DotProductKernel.__call__(u, out=u)``), which the
-regression code then shifts and factors in place.  Only the effective
-dimension of ``infogain`` needs a second n x n array, for L^{-1}.
+regression code then shifts and factors in place.  The effective dimension
+of ``infogain`` reads L^{-1} one block of columns at a time, so no second
+n x n array is made.
 """
 
 import os

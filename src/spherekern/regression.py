@@ -30,11 +30,14 @@ m-point grid costs n*m kernel evaluations, O(n^2 m) arithmetic and O(n m)
 memory; it never forms the m x m grid Gram.
 
 The factorization and the triangular solves (:func:`cholesky`,
-:func:`solve_triangular`, :func:`cho_solve`) are blocked algorithms on
-numpy alone: level-3 products over blocks of columns, with
-``np.linalg.cholesky`` and an exact lower-triangular inverse for the
-diagonal blocks.  All three take lower-triangular factors, and the
-factorization works in place on a C-ordered buffer.
+:func:`solve_triangular`, :func:`cho_solve`) take numpy alone.  One
+recursive substitution, :func:`_solve_lower`, is every triangular solve:
+it halves the triangle down to leaves of at most 32 rows, which it
+inverts, and joins the halves by one matrix product.  The factorization is
+left-looking over blocks of columns, with ``np.linalg.cholesky`` for each
+diagonal block and that solve for its inverse.  All three take
+lower-triangular factors, and the factorization works in place on a
+C-ordered buffer.
 """
 
 from dataclasses import dataclass
@@ -169,33 +172,35 @@ def sample_sphere(d, n, seed):
     return X / norms
 
 
-#: Rows per block of a triangular solve.  Each block's inverse costs about
-#: block^2/3 multiply-adds per row, so few right-hand sides want small blocks.
-_SOLVE_BLOCK = 64
-
-
 def _block_size(n):
     """Columns per block of an n x n Cholesky factorization: the power of two
     at or above n/8, within [64, 256]."""
     return min(256, max(64, 1 << ((n - 1) // 8).bit_length()))
 
 
-def _tril_inverse(t):
-    """Inverse of the lower triangle of square ``t``, exactly lower triangular.
+def _solve_lower(t, x, trans):
+    """Overwrite the n x k array x by T^{-1} x (``trans="N"``) or T^{-T} x
+    (``"T"``) and return it, T the lower triangle of square ``t``.
 
-    inv([[A, 0], [C, D]]) = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]], split
-    in halves down to blocks of at most 32 rows, which ``np.linalg.inv``
-    inverts; a singular triangle raises ``np.linalg.LinAlgError``.
+    T = [[A, 0], [C, D]] is split in halves: "N" solves A, subtracts C times
+    that half of x from the other and solves D; "T" solves D^T, subtracts
+    C^T times that half and solves A^T.  Only leaves of at most 32 rows are
+    inverted, by ``np.linalg.inv``; a zero on the diagonal raises
+    ``np.linalg.LinAlgError``.
     """
     n = t.shape[0]
     if n <= 32:
-        return np.tril(np.linalg.inv(np.tril(t)))
+        inv = np.tril(np.linalg.inv(np.tril(t)))
+        x[...] = (inv if trans == "N" else inv.T) @ x
+        return x
     h = n // 2
-    out = np.zeros((n, n))
-    out[:h, :h] = _tril_inverse(t[:h, :h])
-    out[h:, h:] = _tril_inverse(t[h:, h:])
-    out[h:, :h] = -(out[h:, h:] @ (t[h:, :h] @ out[:h, :h]))
-    return out
+    if trans == "N":
+        x[h:] -= t[h:, :h] @ _solve_lower(t[:h, :h], x[:h], trans)
+        _solve_lower(t[h:, h:], x[h:], trans)
+    else:
+        x[:h] -= t[h:, :h].T @ _solve_lower(t[h:, h:], x[h:], trans)
+        _solve_lower(t[:h, :h], x[:h], trans)
+    return x
 
 
 def cholesky(a, overwrite_a=False):
@@ -209,9 +214,10 @@ def cholesky(a, overwrite_a=False):
     ``np.matmul`` into one block-sized buffer; its diagonal block is then
     factored by ``np.linalg.cholesky``, which raises
     ``np.linalg.LinAlgError`` if that block is not positive definite, and the
-    rows below are multiplied by the transposed inverse of that factor.  The
-    input is not checked for finiteness: a NaN or inf in the lower triangle
-    reaches the diagonal of L or fails the factorization.
+    rows below are multiplied by the transposed inverse of that factor, which
+    :func:`_solve_lower` solves from the identity.  The input is not checked
+    for finiteness: a NaN or inf in the lower triangle reaches the diagonal
+    of L or fails the factorization.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -229,7 +235,7 @@ def cholesky(a, overwrite_a=False):
             rows -= np.matmul(L[r0:r1, :c0], left, out=out)
             if r0 == c0:
                 rows[...] = np.linalg.cholesky(rows)
-                inv_t = _tril_inverse(rows).T
+                inv_t = _solve_lower(rows, np.eye(c1 - c0), "N").T
             else:
                 rows[...] = np.matmul(rows, inv_t, out=out)
         L[c0:c1, c1:] = 0.0
@@ -241,11 +247,9 @@ def solve_triangular(a, b, trans="N", overwrite_b=False):
     lower triangular; its strict upper triangle is not read.
 
     ``b`` is a vector or a matrix of right-hand sides.  With ``overwrite_b``
-    a writable float ``b`` is overwritten by x and returned.  Blocked
-    substitution over blocks of ``_SOLVE_BLOCK`` rows: each block of x takes
-    one ``np.matmul`` with the rows of x already solved and one with the
-    inverse of its diagonal block of L; a zero on the diagonal of L raises
-    ``np.linalg.LinAlgError``.
+    a writable float ``b`` is overwritten by x and returned.  One call of
+    :func:`_solve_lower` on all columns at once; a zero on the diagonal of L
+    raises ``np.linalg.LinAlgError``.
     """
     if trans not in ("N", "T"):
         raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
@@ -254,15 +258,7 @@ def solve_triangular(a, b, trans="N", overwrite_b=False):
     x = b if overwrite_b and b.dtype == float and b.flags.writeable else b.astype(float)
     if a.shape != (n, n) or x.shape[0] != n:
         raise ValueError(f"shapes {a.shape} and {x.shape} do not match")
-    rows = x.reshape(n, -1)  # a view, for a vector and for a matrix of any layout
-    starts = range(0, n, _SOLVE_BLOCK)
-    for c0 in starts if trans == "N" else reversed(starts):
-        c1 = min(c0 + _SOLVE_BLOCK, n)
-        inv = _tril_inverse(a[c0:c1, c0:c1])
-        if trans == "N":
-            rows[c0:c1] = inv @ (rows[c0:c1] - a[c0:c1, :c0] @ rows[:c0])
-        else:
-            rows[c0:c1] = inv.T @ (rows[c0:c1] - a[c1:, c0:c1].T @ rows[c1:])
+    _solve_lower(a, x.reshape(n, -1), trans)  # a view, for a vector and a matrix of any layout
     return x
 
 

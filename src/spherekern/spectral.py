@@ -43,7 +43,7 @@ from .errors import (
     _check_int,
     _check_positive,
 )
-from .kernels import DotProductKernel, KernelSpec, double_factorial_odd, rf_closed
+from .kernels import DotProductKernel, KernelSpec, _as_ufloat, double_factorial_odd, rf_closed
 from .serialize import JsonReport
 
 #: Degrees with eigenvalue below this are treated as numerically zero
@@ -110,14 +110,14 @@ def _gegenbauer_norms(alpha, max_degree):
 
 
 def gegenbauer(alpha, i, u):
-    """Gegenbauer polynomial C_i^alpha(u) for alpha > 0.
+    """Gegenbauer polynomial C_i^alpha(u) for a finite alpha > 0.
 
     The maximum over [-1, 1] is attained at u = 1, where the value is
     binomial(i + 2*alpha - 1, i).
     """
-    if alpha <= 0:
+    if not 0.0 < alpha < float("inf"):  # NaN fails both comparisons
         raise UnsupportedDimensionError(
-            f"Gegenbauer weight requires alpha > 0 (d >= 3); got alpha={alpha}"
+            f"Gegenbauer weight requires a finite alpha > 0 (d >= 3); got alpha={alpha}"
         )
     i = _check_int(i, "degree", 0)
     arr = np.asarray(u, dtype=float)
@@ -372,15 +372,19 @@ def mercer_spectrum(kernel, d, M):
 
 
 def reconstruct(table, u):
-    """Evaluate the truncated expansion sum_i lam_i c_{i,d} C_i^alpha(u)."""
+    """Evaluate the truncated expansion sum_i lam_i c_{i,d} C_i^alpha(u).
+
+    ``u`` is checked as every kernel evaluator checks it: a NaN, or an entry
+    beyond [-1, 1] by more than ``U_CLAMP_TOL``, raises DomainError.
+    """
     d = _check_int(table.d, "d", 3, UnsupportedDimensionError)
     alpha = (d - 2) / 2.0
-    arr = np.asarray(u, dtype=float)
-    out = np.zeros_like(arr, dtype=float)
+    arr, scalar = _as_ufloat(u)
+    out = np.zeros_like(arr)
     coef = table.eigenvalues * _degree_constants(d, table.max_degree)[0]
     for i, Ci in _gegenbauer_rows(alpha, table.max_degree, arr):
         out += coef[i] * Ci
-    return float(out) if arr.ndim == 0 else out
+    return float(out[0]) if scalar else out
 
 
 def _degree_terms(family, s, d, K):

@@ -230,6 +230,16 @@ class TestKernelEval:
                           "--pair-file", pair)
             assert res.returncode == 2
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# no pairs yet\n"])
+    def test_pair_file_without_pairs(self, tmp_path, text):
+        """One line of stderr that names the empty file, not numpy's loadtxt
+        warning and a column count."""
+        pair = tmp_path / "pairs.csv"
+        pair.write_text(text)
+        res = run_cli("kernel-eval", "--family", "nt", "--s", "1", "--pair-file", pair)
+        assert res.returncode == 2
+        assert res.stderr.strip() == f"ConfigurationError: pair file {pair} holds no pairs"
+
     def test_needs_some_input(self):
         res = run_cli("kernel-eval", "--family", "nt", "--s", "1")
         assert res.returncode == 2

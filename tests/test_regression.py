@@ -278,10 +278,12 @@ def _ridge_gram(n, shift=0.1):
     return A
 
 
-# 1, B - 1, B, B + 1 and 3B + 5 for B = 64, the solves' block and the smallest
-# factor block, and one n on each side of every change of the factor's
-# regression._block_size (512 | 513, 1024 | 1025).
-_FACTOR_SIZES = (1, 63, 64, 65, 197, 512, 513, 1024, 1025)
+# 1; 31, 32 and 33 on both sides of the solves' 32-row recursion leaf (33
+# splits unevenly, into 16 and 17 rows); 96, which splits twice, into leaves of
+# 24; 63, 64, 65 and 3B + 5 for B = 64, the smallest factor block; and one n on
+# each side of every change of the factor's regression._block_size
+# (512 | 513, 1024 | 1025).
+_FACTOR_SIZES = (1, 31, 32, 33, 63, 64, 65, 96, 197, 512, 513, 1024, 1025)
 # At condition numbers up to 5e3 both factors (and both solutions) lie within
 # about cond * eps = 1e-12 of the exact ones; measured against scipy.linalg
 # the differences stay below 1.5e-14 of the largest entry, so allow 3e-14.

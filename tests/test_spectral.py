@@ -29,7 +29,7 @@ from spherekern import (
     tail_sum,
     verify_endpoint,
 )
-from spherekern.kernels import _FORMS, double_factorial_odd
+from spherekern.kernels import _FORMS, U_CLAMP_TOL, double_factorial_odd
 from spherekern.spectral import (
     _degree_constants,
     _degree_terms,
@@ -205,8 +205,10 @@ class TestGegenbauer:
                 assert gegenbauer_at_one(d, i) == comb(i + d - 3, i)
 
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(UnsupportedDimensionError):
-            gegenbauer(0.0, 2, 0.5)
+        """alpha = 0, and a NaN or infinite alpha, which would return nan."""
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(UnsupportedDimensionError):
+                gegenbauer(alpha, 2, 0.5)
 
 
 class TestAdditionConstant:
@@ -500,6 +502,18 @@ class TestReconstruction:
         bound = tail_sum("nt", 1, 3, 60) + quadrature_error(nt1_table, "nt", 1)
         assert abs(reconstruct(nt1_table, 0.0) - 1.0 / np.pi) <= bound
         assert abs(reconstruct(nt1_table, 1.0) - 2.0) <= bound
+
+    def test_checks_u_as_the_kernels_do(self):
+        """A NaN or an inner product beyond [-1, 1] raises, as in every kernel
+        evaluator, instead of extrapolating the truncated series (6.1e7 at
+        u = 2 for this table); within U_CLAMP_TOL it is clamped to 1."""
+        table = mercer_spectrum(make_kernel("nt", 1), 3, 20)
+        for bad in (2.0, np.nan, [0.5, -1.0 - 2 * U_CLAMP_TOL]):
+            with pytest.raises(DomainError):
+                reconstruct(table, bad)
+        assert reconstruct(table, 1.0 + U_CLAMP_TOL / 2) == reconstruct(table, 1.0)
+        assert isinstance(reconstruct(table, 0.5), float)
+        assert reconstruct(table, np.array([0.5])).shape == (1,)
 
     def test_rf1_at_one_within_tail(self, rf1_table):
         bound = tail_sum("rf", 1, 3, 60) + quadrature_error(rf1_table, "rf", 1)
