@@ -18,7 +18,8 @@ block of L, so a jitter rung the largest set needs applies to every prefix,
 and one forward and one back solve with the whole of L fit every prefix.
 The evaluation points stream through in row tiles of at most one kernel
 block (``kernels._BLOCK`` entries), each scored against every n by one
-GEMM, so memory stays O(n^2) whatever the evaluation sample size.
+GEMM per training pool, so memory stays O(n^2) whatever the evaluation
+sample size.
 
 Every quantity is a pure function of the configuration: repetition r of
 a run with master seed m draws all of its randomness from seed sequences
@@ -28,7 +29,6 @@ are independent and can be distributed across worker processes without
 changing any output bit.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,17 +242,16 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
     z = L^{-1} Y holds the forward solve of every prefix, and one back solve
     L^T A = Z, column j of Z being z zeroed from row n_j on, gives in column
     j of A the weights of fit j: upper triangular L^T keeps them in its
-    first n_j rows, with exact zeros below.  The pools are stacked into one
-    training matrix ``X`` and their blocks A into one block-diagonal weight
-    matrix, column j for fit j.  The evaluation
-    points then stream through in tiles of max(1, _BLOCK // rows of X)
-    rows: one tile x X Gram, one GEMM and a running max |error| per n.
+    first n_j rows, with exact zeros below.  The evaluation points then
+    stream through in tiles of max(1, _BLOCK // training points of all
+    pools) rows: per pool one tile x pool Gram and one GEMM with its A, the
+    residuals of all fits side by side, and a running max |error| per n.
     """
     kernel = make_kernel(family, s, d=d)
     target = make_synthetic(kernel, d, n0=n0, ridge=ridge, seed=rep_seed)
 
     pools = [((), n_grid)] if nested else [((int(n),), [n]) for n in n_grid]
-    sets, blocks = [], []
+    fits = []
     for salt, sizes in pools:
         size = int(sizes[-1])
         P = sample_sphere(d, size, [rep_seed, SALT_TRAIN, *salt])
@@ -260,25 +259,19 @@ def _error_rate_rep(family, s, d, n_grid, rep_seed, eval_sample, train_lam2,
         L, _ = _ridge_factor(kernel, P, train_lam2)
         z = solve_triangular(L, target._values(P) + noise * noise_scale)
         Z = np.where(np.arange(size)[:, None] < sizes, z[:, None], 0.0)
-        blocks.append(solve_triangular(L, Z, trans="T", overwrite_b=True))
+        fits.append((P, solve_triangular(L, Z, trans="T", overwrite_b=True)))
         del L  # before the next pool's Gram and the evaluation stream
-        sets.append(P)
-    X = np.vstack(sets)
-    alpha = np.zeros((X.shape[0], len(n_grid)))
-    row = col = 0
-    for block in blocks:
-        alpha[row:row + block.shape[0], col:col + block.shape[1]] = block
-        row, col = row + block.shape[0], col + block.shape[1]
 
     # each pool passed the unit-norm check in _ridge_factor and the anchors
     # theirs when the target was built; the evaluation points are checked
     # once, not per tile
     eval_pts = _check_unit_rows(sample_sphere(d, eval_sample, [rep_seed, SALT_EVAL]))
-    tile = max(1, _BLOCK // X.shape[0])
+    tile = max(1, _BLOCK // sum(len(P) for P, _ in fits))
     errors = np.zeros(len(n_grid))
     for lo in range(0, eval_sample, tile):
         pts = eval_pts[lo:lo + tile]
-        resid = _cross_gram(kernel, pts, X) @ alpha - target._values(pts)[:, None]
+        resid = np.hstack([_cross_gram(kernel, pts, P) @ A for P, A in fits])
+        resid -= target._values(pts)[:, None]
         np.maximum(errors, np.max(np.abs(resid), axis=0), out=errors)
     return errors
 
@@ -324,6 +317,8 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
     ]
     workers = min(workers or 1, repetitions)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_error_rate_rep_star, tasks))
     else:

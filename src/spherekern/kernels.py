@@ -471,14 +471,14 @@ def mc_estimate(spec, x, x_prime, cfg):
     samples adds its sum and its sum of squares to the running totals, in
     chunk order.
 
-    The chunks run on w = min(available CPUs, chunks) threads: worker k takes
-    chunks k, k + w, k + 2w, ..., and the caller adds their sums in chunk
-    order, so the result does not depend on w.  With w = 1 the worker runs in
-    the calling thread.  Each worker holds one chunk-length output buffer plus
-    d + 2 columns of one row block (min(``_BLOCK``, chunk, n) rows): the draw
-    W and the projections ``g1 = W x`` and ``g2 = W x'``.  All of them are
-    allocated here, in the calling thread, since memory freed by a worker
-    thread would stay in that thread's malloc arena.
+    The chunks run on a pool of w = min(available CPUs, chunks) threads:
+    worker k takes chunks k, k + w, k + 2w, ..., and the caller adds their
+    sums in chunk order, so the result does not depend on w.  Each worker
+    holds one chunk-length output buffer plus d + 2 columns of one row block
+    (min(``_BLOCK``, chunk, n) rows): the draw W and the projections
+    ``g1 = W x`` and ``g2 = W x'``.  All of them are allocated here, in the
+    calling thread, since memory freed by a worker thread would stay in that
+    thread's malloc arena.
 
     Returns
     -------
@@ -507,13 +507,10 @@ def mc_estimate(spec, x, x_prime, cfg):
         return _mc_chunks(spec, u, x, x_prime, cfg, range(k, n_chunks, workers),
                           W[k], g[k], vals[k])
 
-    if workers == 1:
-        per_worker = [work(0)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(workers) as pool:
-            per_worker = list(pool.map(work, range(workers)))
+    with ThreadPoolExecutor(workers) as pool:
+        per_worker = list(pool.map(work, range(workers)))
     total = 0.0
     total_sq = 0.0
     for c in range(n_chunks):

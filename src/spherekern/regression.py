@@ -246,7 +246,8 @@ def solve_triangular(a, b, trans="N", overwrite_b=False):
     """Solve L x = b (``trans="N"``) or L^T x = b (``trans="T"``), L = ``a``
     lower triangular; its strict upper triangle is not read.
 
-    ``b`` is a vector or a matrix of right-hand sides.  With ``overwrite_b``
+    ``b`` is a vector or a matrix of right-hand sides; an empty system
+    (n = 0) gives an empty x.  With ``overwrite_b``
     a writable float ``b`` is overwritten by x and returned.  One call of
     :func:`_solve_lower` on all columns at once; a zero on the diagonal of L
     raises ``np.linalg.LinAlgError``.
@@ -256,9 +257,9 @@ def solve_triangular(a, b, trans="N", overwrite_b=False):
     b = np.asarray(b)
     n = a.shape[0]
     x = b if overwrite_b and b.dtype == float and b.flags.writeable else b.astype(float)
-    if a.shape != (n, n) or x.shape[0] != n:
+    if a.shape != (n, n) or x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError(f"shapes {a.shape} and {x.shape} do not match")
-    _solve_lower(a, x.reshape(n, -1), trans)  # a view, for a vector and a matrix of any layout
+    _solve_lower(a, x[:, None] if x.ndim == 1 else x, trans)
     return x
 
 
@@ -286,7 +287,7 @@ def _chol_with_jitter(build):
     for level in JITTER_LADDER:
         jitter = 0.0
         if level > 0.0:  # the failed rung before this one overwrote A
-            jitter = level * (float(diag.sum()) / max(n, 1))
+            jitter = level * (float(diag.sum()) / n)
             A = build()
             A.flat[:: n + 1] += jitter
         try:
@@ -345,24 +346,18 @@ def _test_points(x):
 def predict_mean(model, x):
     """Posterior mean at x (scalar for a single point, array for a batch)."""
     pts, scalar = _test_points(x)
-    if model.n == 0:
-        out = np.zeros(pts.shape[0])
-    else:
-        out = _cross_gram(model.kernel, pts, model.X) @ model.alpha
+    out = _cross_gram(model.kernel, pts, model.X) @ model.alpha
     return float(out[0]) if scalar else out
 
 
 def predict_variance(model, x):
-    """Posterior variance at x; independent of Y and clamped into [0, kappa(1)]."""
+    """Posterior variance kappa(1) - |L^{-1} k_n(x)|^2 at x; independent of Y and
+    clamped into [0, kappa(1)].  With no training points the sum is empty and
+    the variance is the prior's kappa(1)."""
     pts, scalar = _test_points(x)
     kappa_one = model.kernel.kappa_one
-    if model.n == 0:
-        out = np.full(pts.shape[0], kappa_one)
-    else:
-        k = _cross_gram(model.kernel, pts, model.X)
-        z = solve_triangular(model.L, k.T)
-        out = kappa_one - np.sum(z * z, axis=0)
-        out = np.clip(out, 0.0, kappa_one)
+    z = solve_triangular(model.L, _cross_gram(model.kernel, pts, model.X).T)
+    out = np.clip(kappa_one - np.sum(z * z, axis=0), 0.0, kappa_one)
     return float(out[0]) if scalar else out
 
 

@@ -113,18 +113,19 @@ def gegenbauer(alpha, i, u):
     """Gegenbauer polynomial C_i^alpha(u) for a finite alpha > 0.
 
     The maximum over [-1, 1] is attained at u = 1, where the value is
-    binomial(i + 2*alpha - 1, i).
+    binomial(i + 2*alpha - 1, i).  ``u`` is checked as every kernel evaluator
+    checks it: a NaN, or an entry beyond [-1, 1] by more than
+    ``U_CLAMP_TOL``, raises DomainError.
     """
     if not 0.0 < alpha < float("inf"):  # NaN fails both comparisons
         raise UnsupportedDimensionError(
             f"Gegenbauer weight requires a finite alpha > 0 (d >= 3); got alpha={alpha}"
         )
     i = _check_int(i, "degree", 0)
-    arr = np.asarray(u, dtype=float)
-    for j, row in _gegenbauer_rows(alpha, i, arr):
-        if j == i:
-            return float(row) if arr.ndim == 0 else row
-    raise AssertionError("unreachable")
+    arr, scalar = _as_ufloat(u)
+    for _, row in _gegenbauer_rows(alpha, i, arr):
+        pass  # the last row is degree i
+    return float(row[0]) if scalar else row
 
 
 def gegenbauer_at_one(d, i):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import sys
 import tracemalloc
@@ -212,7 +213,7 @@ class TestErrorRateExperiment:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
         report = error_rate_experiment(
             "nt", 1, 3, n_grid=[2, 4, 8], repetitions=repetitions, eval_sample=50,
             n0=10, workers=workers,

@@ -272,18 +272,21 @@ class TestJitterLadder:
 
 def _ridge_gram(n, shift=0.1):
     """K + shift I of n random points for NT s = 2 on S^2; its condition
-    number grows to about 5e3 at n = 1025."""
+    number grows to about 5e3 at n = 1025.  n = 0 gives the empty system,
+    which sample_sphere cannot draw."""
+    if n == 0:
+        return np.zeros((0, 0))
     A = kernels.gram(make_kernel("nt", 2), sample_sphere(3, n, n))
     A.flat[:: n + 1] += shift
     return A
 
 
-# 1; 31, 32 and 33 on both sides of the solves' 32-row recursion leaf (33
-# splits unevenly, into 16 and 17 rows); 96, which splits twice, into leaves of
-# 24; 63, 64, 65 and 3B + 5 for B = 64, the smallest factor block; and one n on
-# each side of every change of the factor's regression._block_size
-# (512 | 513, 1024 | 1025).
-_FACTOR_SIZES = (1, 31, 32, 33, 63, 64, 65, 96, 197, 512, 513, 1024, 1025)
+# 0, the empty system; 1; 31, 32 and 33 on both sides of the solves' 32-row
+# recursion leaf (33 splits unevenly, into 16 and 17 rows); 96, which splits
+# twice, into leaves of 24; 63, 64, 65 and 3B + 5 for B = 64, the smallest
+# factor block; and one n on each side of every change of the factor's
+# regression._block_size (512 | 513, 1024 | 1025).
+_FACTOR_SIZES = (0, 1, 31, 32, 33, 63, 64, 65, 96, 197, 512, 513, 1024, 1025)
 # At condition numbers up to 5e3 both factors (and both solutions) lie within
 # about cond * eps = 1e-12 of the exact ones; measured against scipy.linalg
 # the differences stay below 1.5e-14 of the largest entry, so allow 3e-14.
@@ -342,7 +345,15 @@ class TestFactorization:
         assert regression.solve_triangular(L, b, trans=trans, overwrite_b=True) is b
         assert b.tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 65, 1025])
+    def test_solve_triangular_rejects_other_shapes(self):
+        """b is n or n x k: a 3-D b, whose non-contiguous copy the solve would
+        not write back, a scalar and a b of the wrong length raise."""
+        L = regression.cholesky(_ridge_gram(2))
+        for b in (np.ones((3, 2, 2)).transpose(1, 0, 2), np.ones((2, 2, 2)), 1.0, np.ones(3)):
+            with pytest.raises(ValueError):
+                regression.solve_triangular(L, b)
+
+    @pytest.mark.parametrize("n", [0, 1, 65, 1025])
     def test_cho_solve_matches_scipy(self, n):
         L = regression.cholesky(_ridge_gram(n))
         b = np.random.default_rng(n).standard_normal((n, 3))

@@ -506,14 +506,19 @@ class TestReconstruction:
     def test_checks_u_as_the_kernels_do(self):
         """A NaN or an inner product beyond [-1, 1] raises, as in every kernel
         evaluator, instead of extrapolating the truncated series (6.1e7 at
-        u = 2 for this table); within U_CLAMP_TOL it is clamped to 1."""
+        u = 2 for this table) or the polynomial (C_2^{1/2}(2) = 5.5); within
+        U_CLAMP_TOL it is clamped to 1."""
         table = mercer_spectrum(make_kernel("nt", 1), 3, 20)
         for bad in (2.0, np.nan, [0.5, -1.0 - 2 * U_CLAMP_TOL]):
             with pytest.raises(DomainError):
                 reconstruct(table, bad)
+            with pytest.raises(DomainError):
+                gegenbauer(0.5, 2, bad)
         assert reconstruct(table, 1.0 + U_CLAMP_TOL / 2) == reconstruct(table, 1.0)
-        assert isinstance(reconstruct(table, 0.5), float)
-        assert reconstruct(table, np.array([0.5])).shape == (1,)
+        assert gegenbauer(0.5, 2, 1.0 + U_CLAMP_TOL / 2) == gegenbauer(0.5, 2, 1.0)
+        for evaluate in (lambda u: reconstruct(table, u), lambda u: gegenbauer(0.5, 2, u)):
+            assert isinstance(evaluate(0.5), float)
+            assert evaluate(np.array([0.5])).shape == (1,)
 
     def test_rf1_at_one_within_tail(self, rf1_table):
         bound = tail_sum("rf", 1, 3, 60) + quadrature_error(rf1_table, "rf", 1)
