@@ -15,9 +15,12 @@ flag, ``true``/``false`` for a switch and a list of numbers for ``u``;
 type is a configuration error.  So is a value out of range, found before
 any work starts: lam, lam2, nu, lengthscale and ridge must be finite and
 positive (lam within about 1.5e-154..6.7e153, where lam^2 and 1/lam^2
-are normal floats), noise_scale finite and non-negative,
-workers at least 1, parity even, odd or all, and degree_min (or its
-default) non-negative and no larger than degree_max and max_degree.
+are normal floats), noise_scale finite and non-negative, seed
+non-negative, workers at least 1, parity even, odd or all, and
+degree_min (or its default) non-negative and no larger than degree_max
+and max_degree.  An ``--out`` or ``--emit-plot-data`` path must not be a
+directory and must lie in an existing one; a write that fails all the
+same is reported in one line with exit code 2 too.
 
 Only infogain, sample-greedy, error-rate and mig-growth import
 ``regression`` and ``experiments``, each at the entry of its handler, before
@@ -32,6 +35,7 @@ accuracy, fit, or experiment errors).
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -232,6 +236,7 @@ def _check_values(cfg):
     if cfg["format"] not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {cfg['format']!r}")
     try:
+        _check_int(cfg["seed"], "seed", 0)
         if cfg["workers"] is not None:
             _check_int(cfg["workers"], "workers", 1)
         for pname, value in cfg.items():
@@ -405,26 +410,46 @@ _HANDLERS = {
 }
 
 
+def _check_destinations(args):
+    """Reject an output path that is a directory or lies in none, before any work."""
+    for path in (args.out, args.emit_plot_data):
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            raise ConfigurationError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(parent):
+            raise ConfigurationError(f"cannot write {path}: no directory {parent}")
+
+
+def _write(path, text):
+    """Write ``text`` to ``path``; an OSError is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_destinations(args)
         cfg = resolve_config(args.command, args)
         csv_text, json_factory = _HANDLERS[args.command](cfg)
         text = csv_text if cfg["format"] == "csv" else json_factory()
+        if args.emit_plot_data is not None:
+            _write(args.emit_plot_data, csv_text)
+        if args.out is not None:
+            _write(args.out, text)
     except ConfigurationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.emit_plot_data is not None:
-        with open(args.emit_plot_data, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

@@ -305,6 +305,7 @@ def error_rate_experiment(family, s, d, n_grid=None, repetitions=5, master_seed=
     for name, count in (("repetitions", repetitions), ("eval_sample", eval_sample),
                         ("n0", n0), ("workers", 1 if workers is None else workers)):
         _check_int(count, name, 1)
+    _check_int(master_seed, "master_seed", 0)
     _check_positive(train_lam2, f"train_lam2 must be positive, got {train_lam2}")
     _check_positive(noise_scale, f"noise_scale must be nonnegative, got {noise_scale}",
                     allow_zero=True)
@@ -379,6 +380,7 @@ def mig_growth_experiment(family, s, d, n_grid=None, lam=1.0,
     half of the grid and reported next to the theoretical value.
     """
     n_grid, half = _grid(n_grid, 10)
+    _check_int(seed, "seed", 0)
     max_n = int(n_grid[-1])
     if max_n > _check_int(candidate_grid_size, "candidate_grid_size", 1):
         raise ParameterError(

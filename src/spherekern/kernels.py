@@ -44,6 +44,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DomainError,
+    ParameterError,
     UnsupportedDimensionError,
     UnsupportedSmoothnessError,
     _check_int,
@@ -59,8 +60,8 @@ _UNIT_NORM_TOL = 1e-8
 _SUPPORTED_S = (1, 2, 3)
 
 #: Entries per block of the layer recursion: one block's temporaries (256 KB
-#: each) stay in L2 cache.  Also the size of the error-rate evaluation tiles and
-#: the row block of the Monte-Carlo draws.
+#: each) stay in L2 cache.  Also the size of the error-rate evaluation tiles
+#: and the most normals that one Monte-Carlo draw block holds.
 _BLOCK = 1 << 15
 
 
@@ -382,7 +383,8 @@ class McOracleConfig:
     (at most one per chunk) and adds their sums in chunk order.
     The Philox stream, the chunk size and the order in which chunk sums
     are accumulated are the reproducibility contract: changing any of them
-    changes the estimate.
+    changes the estimate.  The seed is the Philox key, an integer in
+    [0, 2^128).
     """
 
     sample_count: int
@@ -391,7 +393,8 @@ class McOracleConfig:
 
     def __post_init__(self):
         _check_int(self.sample_count, "sample_count", 1)
-        _check_int(self.seed, "seed", 0)
+        if _check_int(self.seed, "seed", 0) >= 1 << 128:
+            raise ParameterError(f"seed must be below 2**128 (a Philox key), got {self.seed}")
         _check_int(self.chunk_size, "chunk_size", 1)
 
 
@@ -474,9 +477,11 @@ def mc_estimate(spec, x, x_prime, cfg):
     The chunks run on a pool of w = min(available CPUs, chunks) threads:
     worker k takes chunks k, k + w, k + 2w, ..., and the caller adds their
     sums in chunk order, so the result does not depend on w.  Each worker
-    holds one chunk-length output buffer plus d + 2 columns of one row block
-    (min(``_BLOCK``, chunk, n) rows): the draw W and the projections
-    ``g1 = W x`` and ``g2 = W x'``.  All of them are allocated here, in the
+    holds one chunk-length output buffer plus one row block: the draw W and
+    the projections ``g1 = W x`` and ``g2 = W x'``.  The block has the most
+    rows that are a power of two and whose d normals fit in ``_BLOCK``
+    entries (at least one row, at most min(chunk, n)), so W holds at most one
+    kernel block whatever d is.  All of them are allocated here, in the
     calling thread, since memory freed by a worker thread would stay in that
     thread's malloc arena.
 
@@ -498,7 +503,11 @@ def mc_estimate(spec, x, x_prime, cfg):
     n_chunks = -(-n // cfg.chunk_size)
     workers = min(_available_cpus(), n_chunks)
     length = min(cfg.chunk_size, n)
-    block = min(_BLOCK, length)
+    # The most rows of d normals in one _BLOCK, rounded down to a power of two
+    # (at least one row): the row groups of the BLAS product then fall where
+    # they fell in 2^15-row blocks, so the projections keep their bits while
+    # a block holds a whole group.
+    block = min(max(1, _BLOCK >> (spec.d - 1).bit_length()), length)
     W = np.empty((workers, block, spec.d))
     g = np.empty((workers, 2, block))
     vals = np.empty((workers, length))

@@ -159,10 +159,13 @@ class FittedRegressor:
 def sample_sphere(d, n, seed):
     """n points uniform on S^{d-1}: normalized standard Gaussian rows.
 
-    Deterministic given the seed (which may be an int or a seed sequence).
+    Deterministic given the seed: a non-negative integer or a list or tuple
+    of them (a seed sequence).
     """
     d = _check_int(d, "d", 2, UnsupportedDimensionError)
     n = _check_int(n, "n", 1)
+    for part in seed if isinstance(seed, (list, tuple)) else (seed,):
+        _check_int(part, "seed", 0)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     norms = np.linalg.norm(X, axis=1, keepdims=True)

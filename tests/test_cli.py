@@ -151,6 +151,16 @@ class TestExitCodes:
          "need an integer workers >= 1, got -3"),
         (["spectrum", "--family", "nt", "--s", "1", "--workers", "0"],
          "need an integer workers >= 1, got 0"),
+        (["infogain", "--family", "nt", "--s", "1", "--n", "8", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["spectrum", "--family", "nt", "--s", "1", "--max-degree", "8",
+          "--out", "/nonexistent-dir/x.json"],
+         "cannot write /nonexistent-dir/x.json: no directory /nonexistent-dir"),
+        (["spectrum", "--family", "nt", "--s", "1", "--max-degree", "8", "--out", "."],
+         "cannot write .: it is a directory"),
+        (["spectrum", "--family", "nt", "--s", "1", "--emit-plot-data",
+          "/nonexistent-dir/x.csv"],
+         "cannot write /nonexistent-dir/x.csv: no directory /nonexistent-dir"),
     ])
     def test_out_of_range_value_is_two_before_any_work(self, argv, message, monkeypatch,
                                                        capsys):
@@ -162,6 +172,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "mercer_spectrum", never)
         assert main(argv) == 2
         assert capsys.readouterr().err == f"ConfigurationError: {message}\n"
+
+    def test_failed_write_is_two(self, tmp_path, monkeypatch, capsys):
+        """A write that fails after the checks exits 2 with one line, no traceback."""
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        out = tmp_path / "x.json"
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert main(["spectrum", "--family", "nt", "--s", "1", "--max-degree", "8",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ConfigurationError: cannot write {out}: Permission denied\n"
 
     def test_out_of_range_config_value_is_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -95,6 +95,12 @@ _INTEGER_ARGUMENTS = {
     "McOracleConfig.chunk_size": (lambda v: McOracleConfig(10, 0, chunk_size=v),
                                   1, ParameterError),
     "McOracleConfig.seed": (lambda v: McOracleConfig(10, v), 0, ParameterError),
+    "sample_sphere.seed": (lambda v: sample_sphere(3, 4, v), 0, ParameterError),
+    "make_synthetic.seed": (lambda v: make_synthetic(_NT1, 3, seed=v), 0, ParameterError),
+    "error_rate_experiment.master_seed": (
+        lambda v: error_rate_experiment("nt", 1, 3, master_seed=v), 0, ParameterError),
+    "mig_growth_experiment.seed": (
+        lambda v: mig_growth_experiment("nt", 1, 3, seed=v), 0, ParameterError),
     "_grid.max_exp": (lambda v: _grid(None, v), 1, ParameterError),
 }
 
@@ -139,6 +145,17 @@ def test_zero_chunk_size_raises_at_construction():
     """A zero chunk would draw zero samples forever in ``mc_estimate``."""
     with pytest.raises(ParameterError, match="chunk_size >= 1"):
         McOracleConfig(10, 0, chunk_size=0)
+
+
+def test_seed_limits(no_work):
+    """Every integer of a seed sequence is a seed, and a Monte-Carlo seed is a
+    128-bit Philox key: numpy's ValueError never surfaces."""
+    for seed in ([0, -1], (3, 2.5), [True]):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            sample_sphere(3, 4, seed)
+    assert McOracleConfig(10, 2**128 - 1).seed == 2**128 - 1
+    with pytest.raises(ParameterError, match="seed must be below 2\\*\\*128"):
+        McOracleConfig(10, 2**128)
 
 
 @pytest.mark.parametrize("grid", [[0, 2, 4], [-2, 4, 8], [2.5, 4, 8], [2.0, 4.0, 8.0],

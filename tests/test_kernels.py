@@ -540,24 +540,28 @@ class TestMonteCarlo:
     def test_workers_hold_one_chunk_and_d_plus_two_blocks(self, s, family, d, workers,
                                                           monkeypatch):
         """One call's traced peak stays under w (chunk + (d + 2) block) floats
-        for w workers: each one's output buffer, draw block W (d columns) and
-        projection blocks g1 and g2, plus one chunk of slack for the
-        generators, the threads and the chunk sums."""
-        spec = KernelSpec(family, s, d=d)
-        x = np.eye(d)[0]
-        xp = np.full(d, 1.0 / sqrt(d))
+        for w workers: each one's output buffer, draw block W (d columns, at
+        most ``_BLOCK`` normals) and projection blocks g1 and g2, plus one
+        chunk of slack for the generators, the threads and the chunk sums."""
         cfg = McOracleConfig(sample_count=(1 << 17) * 2 + 5, seed=3)
-        monkeypatch.setattr(kernels, "_available_cpus", lambda: workers)
-        # numpy.random's and the thread pool's first-use imports
-        mc_estimate(spec, x, xp, McOracleConfig(2, 0, chunk_size=1))
-        tracemalloc.start()
-        try:
-            mc_estimate(spec, x, xp, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block = min(_BLOCK, cfg.chunk_size)
-        assert peak <= 8 * (workers * (cfg.chunk_size + (d + 2) * block) + cfg.chunk_size)
+        _assert_mc_peak(KernelSpec(family, s, d=d), cfg, workers, monkeypatch)
+
+    def test_draw_block_does_not_grow_with_d(self, monkeypatch):
+        """At d = 1000 a draw block is 32 rows, not a whole 4096-sample chunk:
+        the same bound, about 0.6 MB for two workers, where 2^12 rows of
+        1000 normals would take 65 MB."""
+        cfg = McOracleConfig(sample_count=(1 << 12) * 2 + 5, seed=3, chunk_size=1 << 12)
+        _assert_mc_peak(KernelSpec("nt", 2, d=1000), cfg, 2, monkeypatch)
+
+    def test_dimension_above_one_block_draws_one_row(self, monkeypatch):
+        """d = _BLOCK + 1 draws one row at a time (a zero-row block would never
+        advance): one sample, and three chunks of one, have the bits of the
+        per-chunk reference."""
+        spec = KernelSpec("nt", 1, d=_BLOCK + 1)
+        x, xp = _axis_and_diagonal(spec.d)
+        monkeypatch.setattr(kernels, "_available_cpus", lambda: 2)
+        for cfg in (McOracleConfig(1, seed=29), McOracleConfig(3, seed=29, chunk_size=1)):
+            assert mc_estimate(spec, x, xp, cfg) == _reference_mc(spec, x, xp, cfg)
 
     def test_chunking_covers_all_samples(self):
         """A sample count spanning several chunks still averages every draw."""
@@ -597,6 +601,31 @@ for family in ("rf", "nt"):
             cfg = McOracleConfig(n, seed=5)
             print(*map(float.hex, mc_estimate(KernelSpec(family, s, d=3), x, xp, cfg)))
 """
+
+
+def _axis_and_diagonal(d):
+    """The unit vectors e_1 and (1, ..., 1) / sqrt(d) of R^d."""
+    x = np.zeros(d)
+    x[0] = 1.0
+    return x, np.full(d, 1.0 / sqrt(d))
+
+
+def _assert_mc_peak(spec, cfg, workers, monkeypatch):
+    """One call on ``workers`` threads peaks under w (chunk + (d + 2) block)
+    floats, plus one chunk of slack, for a block of at most ``_BLOCK`` normals."""
+    d = spec.d
+    x, xp = _axis_and_diagonal(d)
+    monkeypatch.setattr(kernels, "_available_cpus", lambda: workers)
+    # numpy.random's and the thread pool's first-use imports
+    mc_estimate(spec, x, xp, McOracleConfig(2, 0, chunk_size=1))
+    tracemalloc.start()
+    try:
+        mc_estimate(spec, x, xp, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = min(max(1, _BLOCK // d), cfg.chunk_size)
+    assert peak <= 8 * (workers * (cfg.chunk_size + (d + 2) * block) + cfg.chunk_size)
 
 
 def _reference_mc(spec, x, xp, cfg):
