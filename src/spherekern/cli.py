@@ -18,9 +18,9 @@ positive (lam within about 1.5e-154..6.7e153, where lam^2 and 1/lam^2
 are normal floats), noise_scale finite and non-negative, seed
 non-negative, workers at least 1, parity even, odd or all, and
 degree_min (or its default) non-negative and no larger than degree_max
-and max_degree.  An ``--out`` or ``--emit-plot-data`` path must not be a
-directory and must lie in an existing one; a write that fails all the
-same is reported in one line with exit code 2 too.
+and max_degree.  An ``--out`` or ``--emit-plot-data`` path must not be
+empty or a directory and must lie in an existing one; a write that fails
+all the same is reported in one line with exit code 2 too.
 
 Only infogain, sample-greedy, error-rate and mig-growth import
 ``regression`` and ``experiments``, each at the entry of its handler, before
@@ -411,10 +411,11 @@ _HANDLERS = {
 
 
 def _check_destinations(args):
-    """Reject an output path that is a directory or lies in none, before any work."""
-    for path in (args.out, args.emit_plot_data):
-        if path is None:
-            continue
+    """Reject an output path that is empty, is a directory or lies in none,
+    before any work."""
+    for path in (p for p in (args.out, args.emit_plot_data) if p is not None):
+        if not path:
+            raise ConfigurationError("cannot write an empty path")
         parent = os.path.dirname(path) or os.curdir
         if os.path.isdir(path):
             raise ConfigurationError(f"cannot write {path}: it is a directory")

@@ -32,7 +32,9 @@ inner product of a unit vector with itself, so that every K_ii is
 same buffer (``DotProductKernel.__call__(u, out=u)``), which the
 regression code then shifts and factors in place.  The effective dimension
 of ``infogain`` reads L^{-1} one block of columns at a time, so no second
-n x n array is made.
+n x n array is made.  A kernel expansion sum_k a_k kappa(x . c_k) over many
+points x (a synthetic target, a posterior mean) streams the points through
+in tiles of at most one kernel block, so its cross Gram is never held whole.
 """
 
 import os
@@ -60,8 +62,8 @@ _UNIT_NORM_TOL = 1e-8
 _SUPPORTED_S = (1, 2, 3)
 
 #: Entries per block of the layer recursion: one block's temporaries (256 KB
-#: each) stay in L2 cache.  Also the size of the error-rate evaluation tiles
-#: and the most normals that one Monte-Carlo draw block holds.
+#: each) stay in L2 cache.  Also the most entries that one tile of a kernel
+#: expansion and one Monte-Carlo draw block hold (:func:`_block_rows`).
 _BLOCK = 1 << 15
 
 
@@ -372,6 +374,33 @@ def _cross_gram(kernel, X, Y):
     return kernel(np.clip(U, -1.0, 1.0, out=U), out=U)
 
 
+def _block_rows(width):
+    """Rows of ``width`` entries in one tile: the most that are a power of two
+    and fit in ``_BLOCK`` entries, at least one.
+
+    Power-of-two tiles start on multiples of the row groups of the BLAS
+    products, so the rows of a tiled product keep the bits of one product
+    while a tile holds a whole group.
+    """
+    return max(1, _BLOCK >> (width - 1).bit_length())
+
+
+def _expansion(kernel, X, centers, coef):
+    """``kappa(X @ centers.T) @ coef``, the kernel expansion sum_k coef[k]
+    kappa(x . c_k) at each row x of X (one column per column of a 2-D coef),
+    for rows already checked to be unit vectors.
+
+    X streams through in tiles of :func:`_block_rows` ``(len(centers))``
+    rows, so the cross Gram never holds more than one kernel block and the
+    result is the only array of X's length made.
+    """
+    out = np.empty((len(X),) + coef.shape[1:])
+    rows = _block_rows(len(centers))
+    for lo in range(0, len(X), rows):
+        np.matmul(_cross_gram(kernel, X[lo:lo + rows], centers), coef, out=out[lo:lo + rows])
+    return out
+
+
 @dataclass(frozen=True)
 class McOracleConfig:
     """Sample count and seed for the Monte-Carlo oracle.
@@ -381,8 +410,12 @@ class McOracleConfig:
     bit-reproducible no matter how chunks are scheduled across workers:
     ``mc_estimate`` runs them on as many threads as the process has CPUs
     (at most one per chunk) and adds their sums in chunk order.
-    The Philox stream, the chunk size and the order in which chunk sums
-    are accumulated are the reproducibility contract: changing any of them
+    A chunk's rows are drawn and projected in blocks of
+    :func:`_block_rows` ``(d)`` rows (a power of two, one row for d above
+    ``_BLOCK / 2``), and the BLAS products of a block of fewer than four
+    rows can round otherwise than longer blocks do.  The Philox stream, the
+    chunk size, the draw block and the order in which chunk sums are
+    accumulated are the reproducibility contract: changing any of them
     changes the estimate.  The seed is the Philox key, an integer in
     [0, 2^128).
     """
@@ -478,12 +511,11 @@ def mc_estimate(spec, x, x_prime, cfg):
     worker k takes chunks k, k + w, k + 2w, ..., and the caller adds their
     sums in chunk order, so the result does not depend on w.  Each worker
     holds one chunk-length output buffer plus one row block: the draw W and
-    the projections ``g1 = W x`` and ``g2 = W x'``.  The block has the most
-    rows that are a power of two and whose d normals fit in ``_BLOCK``
-    entries (at least one row, at most min(chunk, n)), so W holds at most one
-    kernel block whatever d is.  All of them are allocated here, in the
-    calling thread, since memory freed by a worker thread would stay in that
-    thread's malloc arena.
+    the projections ``g1 = W x`` and ``g2 = W x'``.  The block has
+    :func:`_block_rows` ``(d)`` rows (at most min(chunk, n)), the rule that
+    tiles kernel expansions, so W holds at most one kernel block whatever d
+    is.  All of them are allocated here, in the calling thread, since memory
+    freed by a worker thread would stay in that thread's malloc arena.
 
     Returns
     -------
@@ -503,11 +535,7 @@ def mc_estimate(spec, x, x_prime, cfg):
     n_chunks = -(-n // cfg.chunk_size)
     workers = min(_available_cpus(), n_chunks)
     length = min(cfg.chunk_size, n)
-    # The most rows of d normals in one _BLOCK, rounded down to a power of two
-    # (at least one row): the row groups of the BLAS product then fall where
-    # they fell in 2^15-row blocks, so the projections keep their bits while
-    # a block holds a whole group.
-    block = min(max(1, _BLOCK >> (spec.d - 1).bit_length()), length)
+    block = min(_block_rows(spec.d), length)
     W = np.empty((workers, block, spec.d))
     g = np.empty((workers, 2, block))
     vals = np.empty((workers, length))

@@ -55,7 +55,7 @@ from .errors import (
     _check_lam,
     _check_positive,
 )
-from .kernels import _check_unit_rows, _cross_gram, gram
+from .kernels import _check_unit_rows, _cross_gram, _expansion, gram
 from .serialize import JsonReport
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
@@ -340,16 +340,22 @@ def fit(kernel, dataset, lam):
     return FittedRegressor(kernel, dataset.X, lam, L, alpha, jitter)
 
 
-def _test_points(x):
-    """``(points, was_single_point)``: x checked once as rows of unit vectors."""
-    arr = np.asarray(x, dtype=float)
-    return _check_unit_rows(arr, "test point"), arr.ndim == 1
+def _test_points(model, x):
+    """``(points, was_single_point)``: x checked once as rows of unit vectors
+    of the model's dimension."""
+    pts = _check_unit_rows(x, "test point")
+    if (d := pts.shape[1]) != model.X.shape[1]:
+        raise DomainError(f"test points of dimension {d}, model of dimension {model.X.shape[1]}")
+    return pts, np.ndim(x) == 1
 
 
 def predict_mean(model, x):
-    """Posterior mean at x (scalar for a single point, array for a batch)."""
-    pts, scalar = _test_points(x)
-    out = _cross_gram(model.kernel, pts, model.X) @ model.alpha
+    """Posterior mean k_n(x)^T alpha at x (scalar for a single point, array for
+    a batch), a kernel expansion evaluated by ``kernels._expansion``: the test
+    points stream through in tiles of at most one kernel block, so no
+    test x training Gram is held whole."""
+    pts, scalar = _test_points(model, x)
+    out = _expansion(model.kernel, pts, model.X, model.alpha)
     return float(out[0]) if scalar else out
 
 
@@ -357,7 +363,7 @@ def predict_variance(model, x):
     """Posterior variance kappa(1) - |L^{-1} k_n(x)|^2 at x; independent of Y and
     clamped into [0, kappa(1)].  With no training points the sum is empty and
     the variance is the prior's kappa(1)."""
-    pts, scalar = _test_points(x)
+    pts, scalar = _test_points(model, x)
     kappa_one = model.kernel.kappa_one
     z = solve_triangular(model.L, _cross_gram(model.kernel, pts, model.X).T)
     out = np.clip(kappa_one - np.sum(z * z, axis=0), 0.0, kappa_one)

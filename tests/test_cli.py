@@ -161,6 +161,10 @@ class TestExitCodes:
         (["spectrum", "--family", "nt", "--s", "1", "--emit-plot-data",
           "/nonexistent-dir/x.csv"],
          "cannot write /nonexistent-dir/x.csv: no directory /nonexistent-dir"),
+        (["spectrum", "--family", "nt", "--s", "1", "--max-degree", "400", "--out", ""],
+         "cannot write an empty path"),
+        (["spectrum", "--family", "nt", "--s", "1", "--emit-plot-data", ""],
+         "cannot write an empty path"),
     ])
     def test_out_of_range_value_is_two_before_any_work(self, argv, message, monkeypatch,
                                                        capsys):

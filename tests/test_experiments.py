@@ -138,6 +138,28 @@ class TestMakeSynthetic:
         with pytest.raises(DomainError, match="anchor 4"):
             dataclasses.replace(f, anchors=bad)
 
+    def test_range_probe_streams(self):
+        """The default target peaks under 2 MB: its 10 000-point range probe
+        streams through the anchors in tiles, and the norm certificate takes
+        no third anchor Gram."""
+        kernel = make_kernel("nt", 2)
+        make_synthetic(kernel, 3, n0=5, range_sample=10)  # first-use imports
+        tracemalloc.start()
+        try:
+            make_synthetic(kernel, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_norm_certificate_is_the_quadratic_form(self):
+        """w^T Y_hat - ridge |w|^2 is w^T K w, since (K + ridge I) w = Y_hat."""
+        for fam, s, d, seed in [("nt", 1, 3, 0), ("rf", 2, 4, 1), ("nt", 3, 5, 2)]:
+            kernel = make_kernel(fam, s, d=d)
+            f = make_synthetic(kernel, d, seed=seed, range_sample=100)
+            quad = f.weights @ gram(kernel, f.anchors) @ f.weights
+            assert_allclose(f.norm_bound, quad, rtol=1e-12)
+
     def test_zero_values_degenerate(self):
         with pytest.raises(DegenerateFunctionError):
             make_synthetic(make_kernel("nt", 1), 3, seed=0, anchor_values=np.zeros(100))

@@ -23,6 +23,7 @@ from spherekern import (
     rf_closed,
     rf_deep,
     rf_derivative,
+    sample_sphere,
 )
 from spherekern import kernels
 from spherekern.kernels import _BLOCK
@@ -266,6 +267,48 @@ class TestGram:
         X[1] = [np.nan, 0.0, 0.0]
         with pytest.raises(DomainError, match="point 1"):
             gram(make_kernel("rf", 1), X)
+
+
+class TestExpansion:
+    """``_expansion``: kappa(X @ centers.T) @ coef in tiles of ``_block_rows`` rows."""
+
+    def test_rows_per_tile(self):
+        """The most power-of-two rows of ``width`` entries in one block, at least one."""
+        widths = (1, 2, 3, 100, 500, 1024, _BLOCK, _BLOCK + 1)
+        assert [kernels._block_rows(w) for w in widths] == [
+            _BLOCK, _BLOCK // 2, _BLOCK // 4, 256, 64, 32, 1, 1]
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_bits_of_the_error_rate_tiles(self, k):
+        """For a pool of 2^k points, the bits of the tiles of _BLOCK // 2^k rows
+        that the error-rate evaluation took, for one fit and for ten."""
+        kernel = make_kernel("nt", 2)
+        rng = np.random.default_rng(k)
+        X, pool = sample_sphere(3, 5003, [k, 0]), sample_sphere(3, 2**k, [k, 1])
+        tile = _BLOCK // 2**k
+        for coef in (rng.standard_normal(2**k), rng.standard_normal((2**k, 10))):
+            old = np.concatenate([kernels._cross_gram(kernel, X[lo:lo + tile], pool) @ coef
+                                  for lo in range(0, len(X), tile)])
+            assert _bits(kernels._expansion(kernel, X, pool, coef)) == _bits(old)
+
+    def test_tiles_hold_one_block(self, monkeypatch):
+        """Every tile's cross Gram has at most ``_BLOCK`` entries, and no
+        centers give zeros."""
+        kernel = make_kernel("rf", 1)
+        sizes = []
+        real = kernels._cross_gram
+
+        def recording(kernel, X, Y):
+            sizes.append(len(X) * len(Y))
+            return real(kernel, X, Y)
+
+        monkeypatch.setattr(kernels, "_cross_gram", recording)
+        X, centers = sample_sphere(3, 3000, 1), sample_sphere(3, 700, 2)
+        out = kernels._expansion(kernel, X, centers, np.ones((700, 2)))
+        assert out.shape == (3000, 2) and len(sizes) == 3000 // 32 + 1
+        assert max(sizes) <= _BLOCK
+        assert _bits(kernels._expansion(kernel, X, centers[:0], np.empty(0))) == _bits(
+            np.zeros(3000))
 
 
 class TestDomainValidation:
@@ -563,6 +606,23 @@ class TestMonteCarlo:
         for cfg in (McOracleConfig(1, seed=29), McOracleConfig(3, seed=29, chunk_size=1)):
             assert mc_estimate(spec, x, xp, cfg) == _reference_mc(spec, x, xp, cfg)
 
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_one_row_blocks_are_the_contract(self, s, family, monkeypatch):
+        """d = _BLOCK + 1 draws one-row blocks: five samples in one chunk have the
+        same bits on one and two workers, and those of a reference that
+        projects one row at a time (one whole-chunk product can round
+        otherwise)."""
+        spec = KernelSpec(family, s, d=_BLOCK + 1)
+        x, xp = _axis_and_diagonal(spec.d)
+        cfg = McOracleConfig(5, seed=31)
+        assert kernels._block_rows(spec.d) == 1
+        estimates = set()
+        for workers in (1, 2):
+            monkeypatch.setattr(kernels, "_available_cpus", lambda: workers)
+            estimates.add(mc_estimate(spec, x, xp, cfg))
+        assert estimates == {_reference_mc(spec, x, xp, cfg, rows=1)}
+
     def test_chunking_covers_all_samples(self):
         """A sample count spanning several chunks still averages every draw."""
         spec = KernelSpec("rf", 1)
@@ -628,8 +688,9 @@ def _assert_mc_peak(spec, cfg, workers, monkeypatch):
     assert peak <= 8 * (workers * (cfg.chunk_size + (d + 2) * block) + cfg.chunk_size)
 
 
-def _reference_mc(spec, x, xp, cfg):
-    """The oracle written out of place, chunk by chunk: a new array per step."""
+def _reference_mc(spec, x, xp, cfg, rows=None):
+    """The oracle written out of place, chunk by chunk: a new array per step;
+    with ``rows``, each chunk's draw is projected ``rows`` rows at a time."""
     u = float(np.clip(x @ xp, -1.0, 1.0))
     s, c2 = spec.s, spec.c_squared
     total = total_sq = 0.0
@@ -638,7 +699,9 @@ def _reference_mc(spec, x, xp, cfg):
         take = min(cfg.chunk_size, cfg.sample_count - n_done)
         rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(chunk_index))
         W = rng.standard_normal((take, spec.d))
-        g1, g2 = W @ x, W @ xp
+        step = rows or take
+        g1, g2 = (np.concatenate([W[r:r + step] @ v for r in range(0, take, step)])
+                  for v in (x, xp))
         q = np.maximum(g1, 0.0) * np.maximum(g2, 0.0)
         if s == 1:
             low = (np.minimum(g1, g2) > 0.0).astype(float)

@@ -479,6 +479,31 @@ class TestPredict:
         predict(model, sample_sphere(3, 4, 2))
         assert calls == [(4, 3)]
 
+    @pytest.mark.parametrize("model", [fit(_NT1, _DATA, 1.0), FittedRegressor.empty(_NT1, 1.0)],
+                             ids=["fitted", "empty"])
+    def test_rejects_test_points_of_another_dimension(self, model):
+        """A 4-d point against a 3-d model is a DomainError that names both
+        dimensions, not numpy's shape error."""
+        params = ConfidenceParams(1.0, 0.1, 0.1)
+        for predict in (predict_mean, predict_variance,
+                        lambda m, x: confidence_band(m, x, params)):
+            with pytest.raises(DomainError, match="dimension 4, .* dimension 3"):
+                predict(model, np.eye(4)[:1])
+
+    def test_mean_streams_the_test_points(self):
+        """20 000 test points against a 500-point model peak under 2 MB, where
+        the whole 20 000 x 500 cross Gram would take 80 MB."""
+        kernel = make_kernel("nt", 2)
+        model = fit(kernel, SphericalDataset(sample_sphere(3, 500, 1), np.ones(500)), 0.5)
+        points = sample_sphere(3, 20_000, 2)
+        tracemalloc.start()
+        try:
+            predict_mean(model, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_regressor_checks_its_training_points(self):
         with pytest.raises(DomainError, match="training point 1"):
             FittedRegressor(_NT1, np.array([E1, 2.0 * E2]), 1.0, np.eye(2), np.ones(2))
