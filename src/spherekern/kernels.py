@@ -34,7 +34,8 @@ regression code then shifts and factors in place.  The effective dimension
 of ``infogain`` reads L^{-1} one block of columns at a time, so no second
 n x n array is made.  A kernel expansion sum_k a_k kappa(x . c_k) over many
 points x (a synthetic target, a posterior mean) streams the points through
-in tiles of at most one kernel block, so its cross Gram is never held whole.
+in tiles of one kernel block (of at least 128 rows for one coefficient
+vector), so its cross Gram is never held whole.
 """
 
 import os
@@ -62,9 +63,19 @@ _UNIT_NORM_TOL = 1e-8
 _SUPPORTED_S = (1, 2, 3)
 
 #: Entries per block of the layer recursion: one block's temporaries (256 KB
-#: each) stay in L2 cache.  Also the most entries that one tile of a kernel
-#: expansion and one Monte-Carlo draw block hold (:func:`_block_rows`).
+#: each) stay in L2 cache.  Also the most entries that one Monte-Carlo draw
+#: block holds, and one tile of a kernel expansion unless ``_MIN_TILE_ROWS``
+#: makes it more (:func:`_block_rows`).
 _BLOCK = 1 << 15
+
+#: Fewest rows in one tile of a kernel expansion with one coefficient vector.
+#: Each tile is one kernel call, whose block temporaries the allocator can
+#: hand back to the system and fault in again on the next call, so a few
+#: rows of a wide cross Gram cost more in page faults than in kernel values.
+#: A product with one vector keeps its bits at any tile height; with several
+#: columns BLAS picks its kernel by the tile's size, so those tiles keep
+#: :func:`_block_rows` alone, and the error-rate sup-errors their bits.
+_MIN_TILE_ROWS = 128
 
 
 #: The closed forms: ``kappa = (P(u) t + Q(u) S) / (D pi)`` with
@@ -391,11 +402,12 @@ def _expansion(kernel, X, centers, coef):
     for rows already checked to be unit vectors.
 
     X streams through in tiles of :func:`_block_rows` ``(len(centers))``
-    rows, so the cross Gram never holds more than one kernel block and the
-    result is the only array of X's length made.
+    rows, at least ``_MIN_TILE_ROWS`` for a 1-D coef, so a tile of the
+    cross Gram holds one kernel block (or 128 rows, when those hold more)
+    and the result is the only array of X's length made.
     """
     out = np.empty((len(X),) + coef.shape[1:])
-    rows = _block_rows(len(centers))
+    rows = max(_block_rows(len(centers)), _MIN_TILE_ROWS if coef.ndim == 1 else 1)
     for lo in range(0, len(X), rows):
         np.matmul(_cross_gram(kernel, X[lo:lo + rows], centers), coef, out=out[lo:lo + rows])
     return out

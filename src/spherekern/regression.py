@@ -352,8 +352,8 @@ def _test_points(model, x):
 def predict_mean(model, x):
     """Posterior mean k_n(x)^T alpha at x (scalar for a single point, array for
     a batch), a kernel expansion evaluated by ``kernels._expansion``: the test
-    points stream through in tiles of at most one kernel block, so no
-    test x training Gram is held whole."""
+    points stream through in tiles of one kernel block or 128 rows,
+    whichever holds more, so no test x training Gram is held whole."""
     pts, scalar = _test_points(model, x)
     out = _expansion(model.kernel, pts, model.X, model.alpha)
     return float(out[0]) if scalar else out

@@ -153,12 +153,31 @@ class TestMakeSynthetic:
         assert peak < 2 * 2**20
 
     def test_norm_certificate_is_the_quadratic_form(self):
-        """w^T Y_hat - ridge |w|^2 is w^T K w, since (K + ridge I) w = Y_hat."""
-        for fam, s, d, seed in [("nt", 1, 3, 0), ("rf", 2, 4, 1), ("nt", 3, 5, 2)]:
+        """The certified |g|^2 = w^T Y_hat - ridge |w|^2 is w^T K w: to 1e-12
+        relative at ridge 0.01, and to a few ulps of the subtracted ridge |w|^2
+        at a ridge far above K's spectrum."""
+        for fam, s, d, seed, ridge in [("nt", 1, 3, 0, 0.01), ("rf", 2, 4, 1, 0.01),
+                                       ("nt", 3, 5, 2, 0.01), ("nt", 2, 3, 3, 1e6)]:
             kernel = make_kernel(fam, s, d=d)
-            f = make_synthetic(kernel, d, seed=seed, range_sample=100)
+            f = make_synthetic(kernel, d, ridge=ridge, seed=seed, range_sample=100)
             quad = f.weights @ gram(kernel, f.anchors) @ f.weights
-            assert_allclose(f.norm_bound, quad, rtol=1e-12)
+            assert_allclose(f.norm_bound, quad, rtol=1e-12,
+                            atol=1e-14 * ridge * (f.weights @ f.weights))
+
+    def test_norm_certificate_counts_the_jitter(self, monkeypatch):
+        """A factorization that took jitter j solved (K + (ridge + j) I) w = Y_hat,
+        and the certificate subtracts (ridge + j) |w|^2, so it stays w^T K w."""
+        real = exp_mod._ridge_factor
+
+        def jittered(kernel, points, shift):
+            return (real(kernel, points, shift + 0.5)[0], 0.5) if shift else real(
+                kernel, points, shift)
+
+        monkeypatch.setattr(exp_mod, "_ridge_factor", jittered)
+        kernel = make_kernel("nt", 2)
+        f = make_synthetic(kernel, 3, range_sample=100)
+        assert_allclose(f.norm_bound, f.weights @ gram(kernel, f.anchors) @ f.weights,
+                        rtol=1e-12)
 
     def test_zero_values_degenerate(self):
         with pytest.raises(DegenerateFunctionError):
@@ -417,16 +436,22 @@ class TestErrorRateRepetition:
         assert columns == grid.size
 
     def test_eval_gram_is_streamed(self):
-        """The peak stays far below one eval_sample x max_n array."""
-        eval_sample, grid = 20_000, 2 ** np.arange(1, 9)
-        tracemalloc.start()
-        try:
-            # n0 = 20 keeps make_synthetic's 10_000 x n0 range probe small
-            self._rep(grid, nested=True, eval_sample=eval_sample, n0=20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < eval_sample * grid[-1] * 8 / 4
+        """The peak stays far below one eval_sample x max_n array, and each
+        further evaluation point adds at most its 3 coordinates, the
+        target's value and one residual per fit (one pool of all 8 fits),
+        with one float to spare: the residuals are taken in place."""
+        grid, peaks = 2 ** np.arange(1, 9), []
+        for eval_sample in (30_000, 60_000):
+            tracemalloc.start()
+            try:
+                # n0 = 20 keeps make_synthetic's 10_000 x n0 range probe small
+                self._rep(grid, nested=True, eval_sample=eval_sample, n0=20)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < eval_sample * grid[-1] * 8 / 4
+            peaks.append(peak)
+        assert (peaks[1] - peaks[0]) / 30_000 <= 8 * (3 + 1 + len(grid) + 1)
 
     @pytest.mark.parametrize("nested", [True, False])
     def test_unit_checks_do_not_grow_with_tiles(self, monkeypatch, nested):

@@ -270,7 +270,8 @@ class TestGram:
 
 
 class TestExpansion:
-    """``_expansion``: kappa(X @ centers.T) @ coef in tiles of ``_block_rows`` rows."""
+    """``_expansion``: kappa(X @ centers.T) @ coef in tiles of ``_block_rows`` rows,
+    at least ``_MIN_TILE_ROWS`` for a 1-D coef."""
 
     def test_rows_per_tile(self):
         """The most power-of-two rows of ``width`` entries in one block, at least one."""
@@ -291,9 +292,12 @@ class TestExpansion:
                                   for lo in range(0, len(X), tile)])
             assert _bits(kernels._expansion(kernel, X, pool, coef)) == _bits(old)
 
-    def test_tiles_hold_one_block(self, monkeypatch):
-        """Every tile's cross Gram has at most ``_BLOCK`` entries, and no
-        centers give zeros."""
+    @pytest.mark.parametrize("width, cols, rows", [(700, 2, 32), (700, 1, 32), (700, 0, 128),
+                                                   (70, 0, 256)])
+    def test_tiles_hold_a_block_or_the_row_floor(self, monkeypatch, width, cols, rows):
+        """Tiles have the most power-of-two rows whose cross Gram holds at
+        most ``_BLOCK`` entries, and at least ``_MIN_TILE_ROWS`` for a 1-D
+        coef (``cols`` 0); no centers give zeros."""
         kernel = make_kernel("rf", 1)
         sizes = []
         real = kernels._cross_gram
@@ -303,10 +307,12 @@ class TestExpansion:
             return real(kernel, X, Y)
 
         monkeypatch.setattr(kernels, "_cross_gram", recording)
-        X, centers = sample_sphere(3, 3000, 1), sample_sphere(3, 700, 2)
-        out = kernels._expansion(kernel, X, centers, np.ones((700, 2)))
-        assert out.shape == (3000, 2) and len(sizes) == 3000 // 32 + 1
-        assert max(sizes) <= _BLOCK
+        X, centers = sample_sphere(3, 3000, 1), sample_sphere(3, width, 2)
+        coef = np.ones((width, cols) if cols else width)
+        out = kernels._expansion(kernel, X, centers, coef)
+        assert out.shape == (3000,) + coef.shape[1:]
+        assert sizes[:-1] == [rows * width] * (3000 // rows)
+        assert sizes[-1] == 3000 % rows * width
         assert _bits(kernels._expansion(kernel, X, centers[:0], np.empty(0))) == _bits(
             np.zeros(3000))
 
