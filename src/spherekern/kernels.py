@@ -17,25 +17,30 @@ and an integer D, the NT value and the slope ``kappa_s'`` included.  Every
 against mpmath).  Deeper networks (``l > 2``) are handled by the layer recursion.
 Every public evaluator, ``rf_derivative`` included, goes through one path:
 it validates ``u`` once, on entry (NaN is rejected), then evaluates it in
-cache-sized blocks.  A seeded Monte-Carlo oracle estimates the defining Gaussian
-expectations directly and is used to validate the closed forms.  It draws its
-samples in chunks, each from its own Philox substream, on one thread per
-available CPU (at most one per chunk); every worker fills buffers that the
-calling thread allocated, and the chunk sums are added in chunk order, so the
-estimate has the same bits on any number of threads.
+cache-sized blocks of ``_EVAL_BLOCK`` entries out of one workspace of block
+buffers that the calling thread allocates once per evaluation: three (t, S
+and one scratch buffer), and two more for NT from depth 3 on.  Gram
+matrices, kernel expansions and greedy rows, whose inner products are
+already clipped, skip the second validation and share one workspace across
+all their blocks, tiles and steps (:func:`_in_place`).  A seeded
+Monte-Carlo oracle estimates the defining Gaussian expectations directly
+and is used to validate the closed forms.  It draws its samples in chunks,
+each from its own Philox substream, on one thread per available CPU (at
+most one per chunk); every worker fills buffers that the calling thread
+allocated, and the chunk sums are added in chunk order, so the estimate has
+the same bits on any number of threads.
 
 A Gram matrix takes one n x n buffer: numpy computes ``X @ X.T`` as an
 exactly symmetric rank-k update (``test_kernels.py::TestGram::
 test_symmetric_psd`` pins it bit for bit), its diagonal is set to 1, the
 inner product of a unit vector with itself, so that every K_ii is
 ``kappa(1)`` bit for bit, and the kernel writes its values back into the
-same buffer (``DotProductKernel.__call__(u, out=u)``), which the
-regression code then shifts and factors in place.  The effective dimension
-of ``infogain`` reads L^{-1} one block of columns at a time, so no second
-n x n array is made.  A kernel expansion sum_k a_k kappa(x . c_k) over many
-points x (a synthetic target, a posterior mean) streams the points through
-in tiles of one kernel block (of at least 128 rows for one coefficient
-vector), so its cross Gram is never held whole.
+same buffer, which the regression code then shifts and factors in place.
+The effective dimension of ``infogain`` reads L^{-1} one block of columns
+at a time, so no second n x n array is made.  A kernel expansion
+sum_k a_k kappa(x . c_k) over many points x (a synthetic target, a
+posterior mean) streams the points through in tiles of one kernel block,
+so its cross Gram is never held whole.
 """
 
 import os
@@ -62,20 +67,16 @@ _UNIT_NORM_TOL = 1e-8
 
 _SUPPORTED_S = (1, 2, 3)
 
-#: Entries per block of the layer recursion: one block's temporaries (256 KB
-#: each) stay in L2 cache.  Also the most entries that one Monte-Carlo draw
-#: block holds, and one tile of a kernel expansion unless ``_MIN_TILE_ROWS``
-#: makes it more (:func:`_block_rows`).
+#: Entries per tile of a kernel expansion (:func:`_block_rows`) and the most
+#: entries that one Monte-Carlo draw block holds: both set where the BLAS
+#: products split their rows, so both are part of the bits.
 _BLOCK = 1 << 15
 
-#: Fewest rows in one tile of a kernel expansion with one coefficient vector.
-#: Each tile is one kernel call, whose block temporaries the allocator can
-#: hand back to the system and fault in again on the next call, so a few
-#: rows of a wide cross Gram cost more in page faults than in kernel values.
-#: A product with one vector keeps its bits at any tile height; with several
-#: columns BLAS picks its kernel by the tile's size, so those tiles keep
-#: :func:`_block_rows` alone, and the error-rate sup-errors their bits.
-_MIN_TILE_ROWS = 128
+#: Entries per block of the layer recursion.  The recursion is elementwise,
+#: so this moves no bit; 128 KB buffers keep a whole workspace, with its
+#: input and output blocks, in L2 cache and hold less memory at a Gram
+#: build's peak than 2^15 entries, at the same speed.
+_EVAL_BLOCK = 1 << 14
 
 
 #: The closed forms: ``kappa = (P(u) t + Q(u) S) / (D pi)`` with
@@ -130,10 +131,12 @@ def _as_ufloat(u, out=None):
     return np.atleast_1d(clamped), arr.ndim == 0
 
 
-def _times_poly(coefs, u, u2, x, out=None):
+def _times_poly(coefs, u, x, p, out=None):
     """``P(u) * x`` for an even or odd P with integer coefficients, lowest degree
-    first: Horner's rule in ``u2 = u * u``, times u for odd P, times x.
-    Written into ``out``, which may be x itself; None gives a new array.
+    first and at most two of them nonzero (as in every row of ``_FORMS``):
+    ``top u^2 + c`` formed in the scratch buffer p, times u for odd P, times x.
+    Written into ``out``, which may be x itself; None puts it into p, or
+    returns x itself for P = 1.
 
     The order matters in the last bits: ``(x u) p(u2)`` would move the rf
     s = 3 ``n_clamped`` of a benchmark spectrum
@@ -141,89 +144,127 @@ def _times_poly(coefs, u, u2, x, out=None):
     """
     top, *rest = coefs[::-2]  # P's nonzero coefficients, highest degree first
     odd = len(coefs) % 2 == 0
-    if not rest and top == 1:  # P = u or P = 1
-        return np.multiply(u, x, out=out) if odd else (x if out is x else x.copy())
-    p = top
-    for c in rest:
-        p = p * u2  # a new array on the first pass, so the in-place steps are safe
-        p += c
-    if odd:
-        p = top * u if not rest else np.multiply(p, u, out=p)
-    return np.multiply(p, x, out=p if out is None and (rest or odd) else out)
+    if rest:
+        (c,) = rest
+        h = np.multiply(u, u, out=p)
+        h *= top
+        h += c
+        if odd:
+            h *= u
+    elif odd:
+        h = u if top == 1 else np.multiply(u, top, out=p)
+    elif top == 1 and out is None:
+        return x
+    else:
+        h = top
+    return np.multiply(h, x, out=p if out is None else out)
 
 
-def _form(row, u, u2, t, sin_t, out=None, consume=False):
-    """One closed form ``(P(u) t + Q(u) S) / (D pi)`` of ``_FORMS``, into ``out``
-    when it is given, else into a new array; ``consume`` lets it overwrite t
-    and S."""
+def _form(row, u, t, sin_t, p, val, out):
+    """One closed form ``(P(u) t + Q(u) S) / (D pi)`` of ``_FORMS`` into ``out``:
+    ``P(u) t`` goes into ``val``, which may be t itself, and ``Q(u) S`` into
+    the scratch buffer p; out is written last, so it may be u."""
     P, Q, D = row
-    val = _times_poly(P, u, u2, t, t if consume else None)
+    _times_poly(P, u, t, p, val)
     if Q:
-        val += _times_poly(Q, u, u2, sin_t, sin_t if consume else None)
-    return np.divide(val, D * np.pi, out=val if out is None else out)
+        val += _times_poly(Q, u, sin_t, p)
+    np.divide(val, D * np.pi, out=out)
 
 
-def _rows(x, s, keys, out=None):
-    """The rows ``keys`` of ``_FORMS`` at power s on a validated block x.
+def _rows(x, s, keys, work, out):
+    """The rows ``keys`` of ``_FORMS`` at power s on a validated block x, out of
+    the block buffers ``work = (t, S, p, *vals)``: every row but the last
+    goes into the next of ``vals``, the last into out, which may be x.
 
-    ``t = pi - arccos(x)``, ``S = sin(arccos(x))`` and ``x^2`` are computed
-    once for all of them; the last row overwrites t and S and goes into
-    ``out`` when it is given, so one row takes four block buffers at most:
-    t, S, x^2 and one temporary.
+    ``t = pi - arccos(x)`` and ``S = sin(arccos(x))`` are computed once for
+    all of them; p takes the Horner values and the products ``Q(x) S``, and
+    the last row forms ``P(x) t`` in t itself.  So one row takes three
+    buffers of x's length, t, S and p, and each earlier row one more; no
+    row allocates.
     """
-    t = np.arccos(x)
+    t, sin_t, p, *vals = work
+    np.arccos(x, out=t)
     np.subtract(np.pi, t, out=t)
     # S as sqrt((1-x)(1+x)) avoids cancellation near |x| = 1; both factors
     # are >= 0 for x in [-1, 1]
-    sin_t = (1.0 - x) * (1.0 + x)
+    np.subtract(1.0, x, out=sin_t)
+    sin_t *= np.add(1.0, x, out=p)
     np.sqrt(sin_t, out=sin_t)
-    args = (x, x * x if s > 1 else None, t, sin_t)  # x^2 enters from s = 2 on
     *first, last = keys
-    vals = [_form(_FORMS[key, s], *args) for key in first]
-    return vals + [_form(_FORMS[last, s], *args, out, consume=True)]
+    for key, val in zip(first, vals):
+        _form(_FORMS[key, s], x, t, sin_t, p, val, val)
+    _form(_FORMS[last, s], x, t, sin_t, p, t, out)
 
 
-def _layers(u, s, l, family, c2, out):
+def _workspace(l, family, size):
+    """The block buffers of one evaluation of up to ``size`` entries at a time,
+    each of ``min(size, _EVAL_BLOCK)`` floats: three (t, S and the Horner
+    scratch of :func:`_rows`), and two more for NT from l = 3 on, its value
+    and the slope.  Every layer writes its RF value into the output block,
+    so nothing else is held."""
+    count = 5 if family == "nt" and l > 2 else 3
+    return np.empty((count, max(1, min(size, _EVAL_BLOCK))))
+
+
+def _layers(u, s, l, family, c2, out, work):
     """The depth-``l`` layer recursion of ``family`` on a validated 1-D block
-    of u, written into ``out`` (which may be u) after the last read of u.
+    of u, written into ``out`` (which may be u) after the last read of u, out
+    of the block buffers of a :func:`_workspace` (each of ``_EVAL_BLOCK``
+    floats at most, allocated once per evaluation by the calling thread),
+    each cut to u's length.
 
     Layer 2 takes the value from the family's row of ``_FORMS`` ("rf", "nt"
     or "slope"); every later layer takes the RF value and, for NT, the slope
-    at the previous RF value.
+    at the previous RF value.  Each layer's RF value goes into ``out``, the
+    next layer's argument, so the recursion holds the three buffers of
+    :func:`_rows` and, for NT from l = 3 on, the NT value and the slope.
     Integer coefficients and one division by ``D pi`` last keep the absolute
     error of every 2-layer form within about 2 eps kappa(1) of the exact
     value (``test_kernels.py::TestClosedForms::test_matches_mpmath`` pins it
     on a grid dense at u = +-1).
     """
-    nt = family == "nt"
+    work = [w[:u.size] for w in work]
     if l == 2:
-        _rows(u, s, (family,), out)
+        _rows(u, s, (family,), work, out)
         return
+    nt = family == "nt"
     if nt:
-        val, rf = _rows(u, s, ("nt", "rf"))
+        t, sin_t, p, val, slope = work
+        _rows(u, s, ("nt", "rf"), (t, sin_t, p, val), out)
     else:
-        rf, = _rows(u, s, ("rf",))
+        _rows(u, s, ("rf",), work, out)
     for layer in range(3, l + 1):
-        last = out if layer == l else None
         # rounding can lift a layer's value past 1, outside arccos's domain
-        x = np.clip(rf, -1.0, 1.0, out=rf)
+        x = np.clip(out, -1.0, 1.0, out=out)
         if not nt:
-            rf, = _rows(x, s, ("rf",), last)
+            _rows(x, s, ("rf",), work, out)
             continue
-        rf, slope = _rows(x, s, ("rf", "slope"))
+        _rows(x, s, ("slope", "rf"), (t, sin_t, p, slope), out)
         val *= c2
         val *= slope
-        np.add(val, rf, out=val if last is None else last)
+        np.add(val, out, out=out if layer == l else val)
+
+
+def _kappa(u, out, s, l, family, c2, work):
+    """The layer recursion on validated inner products u, block by block out
+    of ``work``, into ``out``: a C-contiguous array of u's size, which may be
+    u itself.
+
+    The recursion is elementwise, so evaluating the flattened ``u`` in blocks
+    gives the same bits as one pass, and a block is read in full before its
+    values are written.
+    """
+    flat, res = u.ravel(), out.reshape(-1)
+    block = work.shape[1]
+    for lo in range(0, flat.size, block):
+        _layers(flat[lo:lo + block], s, l, family, c2, res[lo:lo + block], work)
+    return out
 
 
 def _evaluate(u, s, l=2, family="rf", drop_c2=False, out=None):
-    """Validate ``u`` and ``s`` once, then run the layer recursion on u block by block.
-
-    The recursion is elementwise, so evaluating the flattened ``u`` in blocks
-    of ``_BLOCK`` entries gives the same bits as one pass while each block's
-    temporaries stay in cache.  A block is read in full before its values are
-    written, so ``out`` (returned when given) may be ``u`` itself.
-    """
+    """Validate ``u`` and ``s`` once, then run the layer recursion on u block by
+    block out of one :func:`_workspace`; ``out`` (returned when given) may be
+    ``u`` itself."""
     l = _check_int(l, "l", 2)
     s = _check_int(s, "s", 0, UnsupportedSmoothnessError)
     arr, scalar = _as_ufloat(u, out)
@@ -233,13 +274,11 @@ def _evaluate(u, s, l=2, family="rf", drop_c2=False, out=None):
             f"no closed form for s={s}; supported s in {supported}"
         )
     c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
-    flat = arr.ravel()
-    res = np.empty(flat.size) if out is None else out.reshape(-1)
-    for lo in range(0, flat.size, _BLOCK):
-        _layers(flat[lo:lo + _BLOCK], s, l, family, c2, res[lo:lo + _BLOCK])
+    res = np.empty(arr.shape) if out is None else out
+    _kappa(arr, res, s, l, family, c2, _workspace(l, family, arr.size))
     if out is not None:
         return out
-    return float(res[0]) if scalar else res.reshape(arr.shape)
+    return float(res[0]) if scalar else res
 
 
 def double_factorial_odd(s):
@@ -366,23 +405,44 @@ def gram(kernel, points, points2=None):
     set to 1 before the kernel is applied, not taken from the matrix product,
     which can be an ulp off.  Inner products are clipped to [-1, 1] before
     kernel evaluation so that rounding in the matrix product cannot push them
-    outside the kernel domain.  The kernel (a :class:`DotProductKernel`)
-    writes into the inner-product array, so the result is the only n x m
-    array made.
+    outside the kernel domain.  The kernel writes into the inner-product
+    array (:func:`_in_place`), so besides one workspace the result is the
+    only array made.
     """
     X = _check_unit_rows(points)
+    Y = X if points2 is None else _check_unit_rows(points2)
+    kappa = _in_place(kernel, len(X) * len(Y))
     if points2 is not None:
-        return _cross_gram(kernel, X, _check_unit_rows(points2))
+        return _cross_gram(kappa, X, Y)
     U = X @ X.T
     np.fill_diagonal(U, 1.0)
-    return kernel(np.clip(U, -1.0, 1.0, out=U), out=U)
+    return kappa(np.clip(U, -1.0, 1.0, out=U))
 
 
-def _cross_gram(kernel, X, Y):
-    """``kappa(X @ Y.T)`` for 2-D arrays of rows already checked to be unit vectors;
-    the kernel values overwrite the inner products."""
+def _in_place(kernel, size):
+    """``U -> kernel(U, out=U)`` for C-contiguous inner products already
+    clipped to [-1, 1].
+
+    A :class:`DotProductKernel` skips the second validation and evaluates
+    every array it is given block by block out of one :func:`_workspace` for
+    ``size`` entries at a time, allocated here, in the calling thread, so
+    that the blocks of all its calls reuse the same buffers.  Any other
+    kernel is called as it is.
+    """
+    if not isinstance(kernel, DotProductKernel):
+        return lambda U: kernel(U, out=U)
+    spec = kernel.spec
+    c2 = 1.0 if kernel.drop_c2 else spec.c_squared
+    work = _workspace(spec.l, spec.family, size)
+    return lambda U: _kappa(U, U, spec.s, spec.l, spec.family, c2, work)
+
+
+def _cross_gram(kappa, X, Y):
+    """``kappa(X @ Y.T)`` for 2-D arrays of rows already checked to be unit
+    vectors, with an evaluator of :func:`_in_place`; the kernel values
+    overwrite the inner products."""
     U = X @ Y.T
-    return kernel(np.clip(U, -1.0, 1.0, out=U), out=U)
+    return kappa(np.clip(U, -1.0, 1.0, out=U))
 
 
 def _block_rows(width):
@@ -402,14 +462,15 @@ def _expansion(kernel, X, centers, coef):
     for rows already checked to be unit vectors.
 
     X streams through in tiles of :func:`_block_rows` ``(len(centers))``
-    rows, at least ``_MIN_TILE_ROWS`` for a 1-D coef, so a tile of the
-    cross Gram holds one kernel block (or 128 rows, when those hold more)
-    and the result is the only array of X's length made.
+    rows, so a tile of the cross Gram holds one kernel block, every tile is
+    evaluated out of one workspace, and the result is the only array of X's
+    length made.
     """
     out = np.empty((len(X),) + coef.shape[1:])
-    rows = max(_block_rows(len(centers)), _MIN_TILE_ROWS if coef.ndim == 1 else 1)
+    rows = _block_rows(len(centers))
+    kappa = _in_place(kernel, rows * len(centers))
     for lo in range(0, len(X), rows):
-        np.matmul(_cross_gram(kernel, X[lo:lo + rows], centers), coef, out=out[lo:lo + rows])
+        np.matmul(_cross_gram(kappa, X[lo:lo + rows], centers), coef, out=out[lo:lo + rows])
     return out
 
 

@@ -27,7 +27,8 @@ O(n * block) memory, not a second n x n array.
 Greedy selection grows the factor one row at a time and evaluates the
 kernel only on the rows of the points it selects, so an n-step run over an
 m-point grid costs n*m kernel evaluations, O(n^2 m) arithmetic and O(n m)
-memory; it never forms the m x m grid Gram.
+memory; it never forms the m x m grid Gram, and every step's row is
+evaluated out of one kernel workspace.
 
 The factorization and the triangular solves (:func:`cholesky`,
 :func:`solve_triangular`, :func:`cho_solve`) take numpy alone.  One
@@ -55,7 +56,7 @@ from .errors import (
     _check_lam,
     _check_positive,
 )
-from .kernels import _check_unit_rows, _cross_gram, _expansion, gram
+from .kernels import _check_unit_rows, _cross_gram, _expansion, _in_place, gram
 from .serialize import JsonReport
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
@@ -352,8 +353,8 @@ def _test_points(model, x):
 def predict_mean(model, x):
     """Posterior mean k_n(x)^T alpha at x (scalar for a single point, array for
     a batch), a kernel expansion evaluated by ``kernels._expansion``: the test
-    points stream through in tiles of one kernel block or 128 rows,
-    whichever holds more, so no test x training Gram is held whole."""
+    points stream through in tiles of one kernel block, so no test x
+    training Gram is held whole."""
     pts, scalar = _test_points(model, x)
     out = _expansion(model.kernel, pts, model.X, model.alpha)
     return float(out[0]) if scalar else out
@@ -365,7 +366,8 @@ def predict_variance(model, x):
     the variance is the prior's kappa(1)."""
     pts, scalar = _test_points(model, x)
     kappa_one = model.kernel.kappa_one
-    z = solve_triangular(model.L, _cross_gram(model.kernel, pts, model.X).T)
+    kappa = _in_place(model.kernel, len(pts) * len(model.X))
+    z = solve_triangular(model.L, _cross_gram(kappa, pts, model.X).T)
     out = np.clip(kappa_one - np.sum(z * z, axis=0), 0.0, kappa_one)
     return float(out[0]) if scalar else out
 
@@ -551,6 +553,7 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     variance = np.empty(n)
     u = np.empty(m)  # inner products with the selected point, then its kernel row
     p = np.empty(m)  # v @ V[:i], then V[i]^2
+    kappa = _in_place(kernel, m)
 
     for i in range(n):
         j = int(np.argmax(sigma2))
@@ -570,7 +573,7 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
         np.matmul(grid, grid[j], out=u)
         np.clip(u, -1.0, 1.0, out=u)
         u[j] = 1.0  # as in gram: the row's own entry is kappa(1) bit for bit
-        k_row = kernel(u, out=u)
+        k_row = kappa(u)
         np.subtract(k_row, np.matmul(v, V[:i], out=p), out=V[i])
         V[i] /= ell
         sigma2 -= np.square(V[i], out=p)

@@ -26,7 +26,7 @@ from spherekern import (
     sample_sphere,
 )
 from spherekern import kernels
-from spherekern.kernels import _BLOCK
+from spherekern.kernels import _BLOCK, _EVAL_BLOCK
 
 
 class TestClosedForms:
@@ -270,8 +270,7 @@ class TestGram:
 
 
 class TestExpansion:
-    """``_expansion``: kappa(X @ centers.T) @ coef in tiles of ``_block_rows`` rows,
-    at least ``_MIN_TILE_ROWS`` for a 1-D coef."""
+    """``_expansion``: kappa(X @ centers.T) @ coef in tiles of ``_block_rows`` rows."""
 
     def test_rows_per_tile(self):
         """The most power-of-two rows of ``width`` entries in one block, at least one."""
@@ -282,29 +281,33 @@ class TestExpansion:
     @pytest.mark.parametrize("k", range(11))
     def test_bits_of_the_error_rate_tiles(self, k):
         """For a pool of 2^k points, the bits of the tiles of _BLOCK // 2^k rows
-        that the error-rate evaluation took, for one fit and for ten."""
+        that the error-rate evaluation took, for one fit and for ten; for one
+        fit also the bits of tiles of at least 128 rows, so one-vector
+        products keep their bits at either tile height."""
         kernel = make_kernel("nt", 2)
         rng = np.random.default_rng(k)
         X, pool = sample_sphere(3, 5003, [k, 0]), sample_sphere(3, 2**k, [k, 1])
-        tile = _BLOCK // 2**k
+        rows = _BLOCK // 2**k
         for coef in (rng.standard_normal(2**k), rng.standard_normal((2**k, 10))):
-            old = np.concatenate([kernels._cross_gram(kernel, X[lo:lo + tile], pool) @ coef
-                                  for lo in range(0, len(X), tile)])
-            assert _bits(kernels._expansion(kernel, X, pool, coef)) == _bits(old)
+            got = _bits(kernels._expansion(kernel, X, pool, coef))
+            for tile in {rows, max(rows, 128) if coef.ndim == 1 else rows}:
+                old = np.concatenate([kernel(np.clip(X[lo:lo + tile] @ pool.T, -1.0, 1.0)) @ coef
+                                      for lo in range(0, len(X), tile)])
+                assert got == _bits(old)
 
-    @pytest.mark.parametrize("width, cols, rows", [(700, 2, 32), (700, 1, 32), (700, 0, 128),
+    @pytest.mark.parametrize("width, cols, rows", [(700, 2, 32), (700, 1, 32), (700, 0, 32),
                                                    (70, 0, 256)])
-    def test_tiles_hold_a_block_or_the_row_floor(self, monkeypatch, width, cols, rows):
+    def test_tiles_hold_a_block(self, monkeypatch, width, cols, rows):
         """Tiles have the most power-of-two rows whose cross Gram holds at
-        most ``_BLOCK`` entries, and at least ``_MIN_TILE_ROWS`` for a 1-D
-        coef (``cols`` 0); no centers give zeros."""
+        most ``_BLOCK`` entries, for a 1-D coef (``cols`` 0) as for a 2-D
+        one; no centers give zeros."""
         kernel = make_kernel("rf", 1)
         sizes = []
         real = kernels._cross_gram
 
-        def recording(kernel, X, Y):
+        def recording(kappa, X, Y):
             sizes.append(len(X) * len(Y))
-            return real(kernel, X, Y)
+            return real(kappa, X, Y)
 
         monkeypatch.setattr(kernels, "_cross_gram", recording)
         X, centers = sample_sphere(3, 3000, 1), sample_sphere(3, width, 2)
@@ -365,14 +368,14 @@ def _bits(x):
 
 
 class TestBlockedEvaluation:
-    """Evaluation in blocks of _BLOCK entries gives the bits of one block."""
+    """Evaluation in blocks of _EVAL_BLOCK entries gives the bits of one block."""
 
     @staticmethod
     def _inputs():
         rng = np.random.default_rng(3)
         flat = [rng.uniform(-1.0, 1.0, size)
-                for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)]
-        square = rng.uniform(-1.0, 1.0, (3, _BLOCK // 2 + 5))
+                for size in (_EVAL_BLOCK - 1, _EVAL_BLOCK, _EVAL_BLOCK + 1, 2 * _EVAL_BLOCK + 3)]
+        square = rng.uniform(-1.0, 1.0, (3, _EVAL_BLOCK // 2 + 5))
         square[0, :3] = (-1.0, 1.0, 1.0 + 1e-13)
         return flat + [square, square.T]
 
@@ -383,15 +386,15 @@ class TestBlockedEvaluation:
         kernel = make_kernel(family, s, l)
         inputs = self._inputs()
         blocked = [kernel(u) for u in inputs]
-        monkeypatch.setattr(kernels, "_BLOCK", 1 << 40)
+        monkeypatch.setattr(kernels, "_EVAL_BLOCK", 1 << 40)
         for u, got in zip(inputs, blocked):
             assert _bits(got) == _bits(kernel(u))
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_derivative_runs_in_blocks(self, monkeypatch, s):
-        """rf_derivative evaluates at most _BLOCK entries at a time, to the bits
+        """rf_derivative evaluates at most _EVAL_BLOCK entries at a time, to the bits
         of the slope row of the NT layer recursion."""
-        u = np.random.default_rng(5).uniform(-1.0, 1.0, (2, _BLOCK + 7))
+        u = np.random.default_rng(5).uniform(-1.0, 1.0, (2, _EVAL_BLOCK + 7))
         sizes = []
         real = kernels._layers
 
@@ -401,16 +404,21 @@ class TestBlockedEvaluation:
 
         monkeypatch.setattr(kernels, "_layers", spy)
         got = rf_derivative(s, u)
-        assert len(sizes) == 3 and max(sizes) <= _BLOCK
-        slope = kernels._rows(u.ravel(), s, ("slope",))[0].reshape(u.shape)
-        assert _bits(got) == _bits(slope)
-        assert rf_derivative(s, 0.3) == kernels._rows(np.array([0.3]), s, ("slope",))[0][0]
+        assert len(sizes) == 3 and max(sizes) <= _EVAL_BLOCK
+
+        def one_block(x):
+            slope = np.empty(x.size)
+            kernels._rows(x.ravel(), s, ("slope",), np.empty((3, x.size)), slope)
+            return slope.reshape(x.shape)
+
+        assert _bits(got) == _bits(one_block(u))
+        assert rf_derivative(s, 0.3) == one_block(np.array([0.3]))[0]
 
     def test_scalar_and_empty_inputs(self, monkeypatch):
         kernel = make_kernel("nt", 2, 3)
         value = kernel(0.3)
         empty, empty_rows = kernel(np.array([])), kernel(np.empty((0, 3)))
-        monkeypatch.setattr(kernels, "_BLOCK", 1 << 40)
+        monkeypatch.setattr(kernels, "_EVAL_BLOCK", 1 << 40)
         assert type(value) is float and value == kernel(0.3)
         assert empty.shape == (0,) and empty_rows.shape == (0, 3)
         with pytest.raises(UnsupportedSmoothnessError):
@@ -426,7 +434,7 @@ class TestBlockedEvaluation:
         assert not calls
 
     def test_nan_in_last_block_raises_and_input_stays(self):
-        u = np.linspace(-1.0, 1.0, 2 * _BLOCK + 3)
+        u = np.linspace(-1.0, 1.0, 2 * _EVAL_BLOCK + 3)
         u[0] = 1.0 + 1e-13
         before = u.copy()
         make_kernel("nt", 3, 3)(u)
@@ -442,7 +450,7 @@ class TestInPlaceEvaluation:
     @staticmethod
     def _inputs():
         rng = np.random.default_rng(8)
-        several_blocks = rng.uniform(-1.0, 1.0, (5, _BLOCK // 2 + 7))
+        several_blocks = rng.uniform(-1.0, 1.0, (5, _EVAL_BLOCK // 2 + 7))
         clamped = several_blocks.copy()
         clamped[0, :4] = (1.0 + 9e-13, 1.0 + 1e-13, -1.0 - 9e-13, np.nextafter(1.0, 2.0))
         clamped[-1, -1] = 1.0 + 5e-13
@@ -468,6 +476,118 @@ class TestInPlaceEvaluation:
                     np.empty((6, 4)).T, np.empty((4, 12))[:, ::2]):
             with pytest.raises(ConfigurationError, match="out must be"):
                 kernel(u, out=out)
+
+
+def _reference_kappa(family, s, l, u, c2):
+    """The layer recursion written out of place, a new array per step, with
+    each closed form's operations in the order of ``_FORMS``' docstring."""
+    def row(key, x):
+        P, Q, D = kernels._FORMS[key, s]
+
+        def times_poly(coefs, v):
+            top, *rest = coefs[::-2]
+            h = top
+            for c in rest:
+                h = h * (x * x) + c
+            if len(coefs) % 2 == 0:
+                h = h * x
+            return h * v
+
+        val = times_poly(P, np.pi - np.arccos(x))
+        if Q:
+            val = val + times_poly(Q, np.sqrt((1.0 - x) * (1.0 + x)))
+        return val / (D * np.pi)
+
+    if l == 2:
+        return row(family, u)
+    val, rf = row(family, u), row("rf", u)
+    for _ in range(3, l + 1):
+        x = np.clip(rf, -1.0, 1.0)
+        rf = row("rf", x)
+        val = val * c2 * row("slope", x) + rf if family == "nt" else rf
+    return val
+
+
+_CHURN = """
+import resource
+import numpy as np
+from spherekern import kernels, make_kernel, sample_sphere
+kernel = make_kernel("nt", 2)
+pool, X = sample_sphere(3, 1024, 1), sample_sphere(3, 5000, 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+kernels._expansion(kernel, X, pool, np.ones((1024, 10)))
+kernels.gram(kernel, pool)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestWorkspace:
+    """Every kernel evaluation runs out of one workspace of block buffers."""
+
+    @pytest.mark.parametrize("family, s, l, drop_c2", [
+        (family, s, l, drop) for family in ("rf", "nt") for s in (1, 2, 3)
+        for l in (2, 3, 4) for drop in ((False, True) if family == "nt" and l > 2 else (False,))
+    ] + [("slope", s, 2, False) for s in (1, 2, 3)] + [("rf", 0, 2, False), ("rf", 0, 3, False)])
+    def test_bits_of_the_out_of_place_recursion(self, family, s, l, drop_c2):
+        """The public evaluators and the in-place evaluator of Gram matrices
+        give the bits of a recursion that allocates every step, on a grid
+        dense at u = +-1."""
+        rng = np.random.default_rng([s, l])
+        delta = np.logspace(-17.0, -1.0, 400)
+        u = np.concatenate([rng.uniform(-1.0, 1.0, 3 * _EVAL_BLOCK + 5), -1.0 + delta,
+                            1.0 - delta, np.linspace(-1.0, 1.0, 1001), [-0.0]])
+        c2 = 1.0 if drop_c2 else 2.0 / kernels.double_factorial_odd(s)
+        expected = _reference_kappa(family, s, l, u, c2)
+        got = kernels._evaluate(u, s, l, family, drop_c2)
+        assert _bits(got) == _bits(expected)
+        if family != "slope" and s > 0:
+            in_place = kernels._in_place(make_kernel(family, s, l, drop_c2=drop_c2), 100)
+            assert _bits(in_place(u.copy())) == _bits(expected)
+
+    def test_other_kernels_take_their_public_call(self):
+        """A kernel that is not a DotProductKernel is called with ``out``."""
+        kernel, shapes = make_kernel("nt", 2), []
+
+        def custom(u, out=None):
+            shapes.append(u.shape)
+            return kernel(u, out=out)
+
+        X = sample_sphere(3, 50, 0)
+        assert _bits(gram(custom, X)) == _bits(gram(kernel, X))
+        assert shapes == [(50, 50)]
+
+    @pytest.mark.parametrize("family", ["rf", "nt"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_scratch_is_the_workspace(self, family, s, l):
+        """``kernel(u, out=u)`` on 2^20 entries holds its workspace and
+        nothing more: three buffers of ``_EVAL_BLOCK`` floats, five for NT
+        from l = 3 on, plus 8 KiB for views and Python objects."""
+        kernel = make_kernel(family, s, l)
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, 1 << 20)
+        tracemalloc.start()
+        try:
+            kernel(u, out=u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 5 if family == "nt" and l > 2 else 3
+        assert peak <= 8 * _EVAL_BLOCK * buffers + 8192
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults of Linux")
+    def test_fresh_process_reuses_its_buffers(self):
+        """In a fresh interpreter with glibc's default allocator settings (no
+        ``MALLOC_*`` variable), an error-rate sized expansion (5000 points,
+        1024 centers, 10 columns) and a 1024-point Gram take few minor page
+        faults: the allocator hands back no buffer between blocks or tiles
+        to fault in again.  Block temporaries allocated on every call took
+        about 42 000."""
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        res = subprocess.run([sys.executable, "-c", _CHURN], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) < 4000
 
 
 class TestMonteCarlo:
