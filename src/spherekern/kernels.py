@@ -37,10 +37,12 @@ inner product of a unit vector with itself, so that every K_ii is
 ``kappa(1)`` bit for bit, and the kernel writes its values back into the
 same buffer, which the regression code then shifts and factors in place.
 The effective dimension of ``infogain`` reads L^{-1} one block of columns
-at a time, so no second n x n array is made.  A kernel expansion
-sum_k a_k kappa(x . c_k) over many points x (a synthetic target, a
-posterior mean) streams the points through in tiles of one kernel block,
-so its cross Gram is never held whole.
+at a time, so no second n x n array is made.  A cross Gram against many
+points x is never held whole: :func:`_tiles` streams the points through,
+a caller-given number of rows at a time, into one tile buffer evaluated
+out of one workspace.  A kernel expansion sum_k a_k kappa(x . c_k) (a
+synthetic target, a posterior mean) takes tiles of one kernel block;
+posterior variances take taller ones (``regression._variance_rows``).
 """
 
 import os
@@ -437,11 +439,11 @@ def _in_place(kernel, size):
     return lambda U: _kappa(U, U, spec.s, spec.l, spec.family, c2, work)
 
 
-def _cross_gram(kappa, X, Y):
+def _cross_gram(kappa, X, Y, out=None):
     """``kappa(X @ Y.T)`` for 2-D arrays of rows already checked to be unit
-    vectors, with an evaluator of :func:`_in_place`; the kernel values
-    overwrite the inner products."""
-    U = X @ Y.T
+    vectors, with an evaluator of :func:`_in_place`, into ``out`` if given;
+    the kernel values overwrite the inner products."""
+    U = np.matmul(X, Y.T, out=out)
     return kappa(np.clip(U, -1.0, 1.0, out=U))
 
 
@@ -461,17 +463,27 @@ def _expansion(kernel, X, centers, coef):
     kappa(x . c_k) at each row x of X (one column per column of a 2-D coef),
     for rows already checked to be unit vectors.
 
-    X streams through in tiles of :func:`_block_rows` ``(len(centers))``
-    rows, so a tile of the cross Gram holds one kernel block, every tile is
-    evaluated out of one workspace, and the result is the only array of X's
-    length made.
+    X streams through :func:`_tiles` of :func:`_block_rows`
+    ``(len(centers))`` rows, so a tile of the cross Gram holds one kernel
+    block, and the result is the only array of X's length made.
     """
     out = np.empty((len(X),) + coef.shape[1:])
-    rows = _block_rows(len(centers))
-    kappa = _in_place(kernel, rows * len(centers))
-    for lo in range(0, len(X), rows):
-        np.matmul(_cross_gram(kappa, X[lo:lo + rows], centers), coef, out=out[lo:lo + rows])
+    for rows, tile in _tiles(kernel, X, centers, _block_rows(len(centers))):
+        np.matmul(tile, coef, out=out[rows])
     return out
+
+
+def _tiles(kernel, X, centers, height):
+    """``(rows, kappa(X[rows] @ centers.T))`` for consecutive slices ``rows``
+    of ``height`` rows of X (the last one shorter), rows already checked to
+    be unit vectors: the cross Gram one tile at a time, each written into the
+    same tile buffer and evaluated out of the same workspace.  A tile is the
+    caller's to overwrite until it asks for the next one."""
+    kappa = _in_place(kernel, height * len(centers))
+    buf = np.empty((min(height, len(X)), len(centers)))
+    for lo in range(0, len(X), height):
+        rows = slice(lo, lo + height)
+        yield rows, _cross_gram(kappa, X[rows], centers, buf[:len(X) - lo])
 
 
 @dataclass(frozen=True)

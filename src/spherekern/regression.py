@@ -24,6 +24,12 @@ goes onto that array's diagonal, and the lower factor overwrites it.  The
 effective dimension reads L^{-1} one column block at a time, so it adds
 O(n * block) memory, not a second n x n array.
 
+Predictions stream their test points, so no test x training Gram is held
+whole.  The mean is a kernel expansion (``kernels._expansion``); the
+variance takes the same tiles of the cross Gram from ``kernels._tiles``,
+:func:`_variance_rows` test points at a time, solves each transposed tile
+in place by :func:`_solve_lower` and sums its column squares.
+
 Greedy selection grows the factor one row at a time and evaluates the
 kernel only on the rows of the points it selects, so an n-step run over an
 m-point grid costs n*m kernel evaluations, O(n^2 m) arithmetic and O(n m)
@@ -56,7 +62,7 @@ from .errors import (
     _check_lam,
     _check_positive,
 )
-from .kernels import _check_unit_rows, _cross_gram, _expansion, _in_place, gram
+from .kernels import _block_rows, _check_unit_rows, _expansion, _in_place, _tiles, gram
 from .serialize import JsonReport
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
@@ -68,8 +74,8 @@ class SphericalDataset:
     """Training inputs on the unit sphere with observed values.
 
     ``noise_scale`` records the sub-Gaussian scale of the observation noise
-    (metadata used by confidence bands and experiment protocols; 0 means
-    noiseless observations).
+    (0 means noiseless observations).  It is metadata: no library code reads
+    it; confidence bands take theirs from :class:`ConfidenceParams`.
     """
 
     X: np.ndarray
@@ -219,7 +225,8 @@ def cholesky(a, overwrite_a=False):
     factored by ``np.linalg.cholesky``, which raises
     ``np.linalg.LinAlgError`` if that block is not positive definite, and the
     rows below are multiplied by the transposed inverse of that factor, which
-    :func:`_solve_lower` solves from the identity.  The input is not checked
+    :func:`_solve_lower` solves from the identity; the last block column has
+    no rows below, so its inverse is never formed.  The input is not checked
     for finiteness: a NaN or inf in the lower triangle reaches the diagonal
     of L or fails the factorization.
     """
@@ -239,7 +246,8 @@ def cholesky(a, overwrite_a=False):
             rows -= np.matmul(L[r0:r1, :c0], left, out=out)
             if r0 == c0:
                 rows[...] = np.linalg.cholesky(rows)
-                inv_t = _solve_lower(rows, np.eye(c1 - c0), "N").T
+                if c1 < n:  # only row blocks below take its inverse
+                    inv_t = _solve_lower(rows, np.eye(c1 - c0), "N").T
             else:
                 rows[...] = np.matmul(rows, inv_t, out=out)
         L[c0:c1, c1:] = 0.0
@@ -361,15 +369,40 @@ def predict_mean(model, x):
 
 
 def predict_variance(model, x):
-    """Posterior variance kappa(1) - |L^{-1} k_n(x)|^2 at x; independent of Y and
-    clamped into [0, kappa(1)].  With no training points the sum is empty and
-    the variance is the prior's kappa(1)."""
+    """Posterior variance kappa(1) - |L^{-1} k_n(x)|^2 at x (scalar for a single
+    point, array for a batch); independent of Y and clamped into
+    [0, kappa(1)].  With no training points the sum is empty and the
+    variance is the prior's kappa(1).
+
+    The test points stream through ``kernels._tiles`` of
+    :func:`_variance_rows` points: each tile's transposed cross Gram is
+    forward-solved in place by :func:`_solve_lower` and its columns' squares
+    are summed, so no test x training Gram, solved copy or square of it is
+    held whole.
+    """
     pts, scalar = _test_points(model, x)
     kappa_one = model.kernel.kappa_one
-    kappa = _in_place(model.kernel, len(pts) * len(model.X))
-    z = solve_triangular(model.L, _cross_gram(kappa, pts, model.X).T)
-    out = np.clip(kappa_one - np.sum(z * z, axis=0), 0.0, kappa_one)
+    out = np.empty(len(pts))
+    for rows, tile in _tiles(model.kernel, pts, model.X, _variance_rows(model.n)):
+        _solve_lower(model.L, tile.T, "N")  # column j of tile.T becomes L^{-1} k_n(x_j)
+        np.square(tile, out=tile).sum(axis=1, out=out[rows])
+    np.clip(np.subtract(kappa_one, out, out=out), 0.0, kappa_one, out=out)
     return float(out[0]) if scalar else out
+
+
+def _variance_rows(n):
+    """Test points per tile of :func:`predict_variance` against n training
+    points: eight kernel blocks (``8 * _block_rows(n)``, at most 2^18
+    entries), and at least 256 points.
+
+    Every tile streams all of L through the solve's products and inverts
+    its 32-row leaves again, so tiles of one kernel block (64 down to 8
+    points at n = 500-4096) measured 1.2-3.8x slower than one whole solve.
+    From n = 1024 on 256-point tiles were the fastest height tried, or
+    within noise of it; smaller models were fastest at 2^17-2^20 entries
+    per tile (one BLAS thread, ``BENCH_streamed_variance.json``).
+    """
+    return max(256, 8 * _block_rows(n))
 
 
 def confidence_band(model, x, params):

@@ -305,9 +305,9 @@ class TestExpansion:
         sizes = []
         real = kernels._cross_gram
 
-        def recording(kappa, X, Y):
+        def recording(kappa, X, Y, *out):
             sizes.append(len(X) * len(Y))
-            return real(kappa, X, Y)
+            return real(kappa, X, Y, *out)
 
         monkeypatch.setattr(kernels, "_cross_gram", recording)
         X, centers = sample_sphere(3, 3000, 1), sample_sphere(3, width, 2)

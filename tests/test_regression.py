@@ -321,6 +321,27 @@ class TestFactorization:
         assert regression.cholesky(fortran, overwrite_a=True).tobytes() == L.tobytes()
         assert np.array_equal(fortran, A)  # a Fortran-ordered input is copied
 
+    @pytest.mark.parametrize("n, inverses", [(1, 0), (64, 0), (65, 1), (197, 3)])
+    def test_only_blocks_with_rows_below_are_inverted(self, monkeypatch, n, inverses):
+        """The last block column has no rows below its diagonal block, so its
+        inverse is not solved: a one-block factor (n <= 64) makes no
+        ``_solve_lower`` call, and n = 197 (blocks at 0, 64, 128, 192) three."""
+        real, depth, calls = regression._solve_lower, [0], []
+
+        def counting(t, x, trans):
+            calls.append(depth[0])  # the recursion calls itself through the module
+            depth[0] += 1
+            try:
+                return real(t, x, trans)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(regression, "_solve_lower", counting)
+        A = _ridge_gram(n)
+        L = regression.cholesky(A)
+        assert calls.count(0) == inverses
+        assert _max_gap(L, scipy.linalg.cholesky(A, lower=True)) <= _FACTOR_RTOL
+
     @pytest.mark.parametrize("block", range(4))
     def test_non_positive_definite_block_raises(self, block):
         """n = 197 has blocks at rows 0, 64, 128 and 192, the last one partial."""
@@ -397,6 +418,24 @@ class TestMemoryCeilings:
 
     def test_infogain_summary_with_effective_dimension(self):
         assert self._peak(lambda k, x: regression._infogain_summary(k, x, 0.1)) < 2.5
+
+    @pytest.mark.parametrize("predict", [
+        predict_variance, lambda m, x: confidence_band(m, x, ConfidenceParams(1.0, 0.1, 0.1))],
+        ids=["variance", "band"])
+    def test_variance_streams_the_test_points(self, predict):
+        """20 000 test points of a 500-point model hold about two tiles of the
+        cross Gram (one, and half of one in the solve's product), not the
+        whole 20 000 x 500 Gram, its solved copy and its squares (191 MiB)."""
+        n = 500
+        model = fit(make_kernel("nt", 2), SphericalDataset(sample_sphere(3, n, 1), np.ones(n)), 0.5)
+        points = sample_sphere(3, 20_000, 2)
+        tracemalloc.start()
+        try:
+            predict(model, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * regression._variance_rows(n) * n
 
 
 class TestPredict:
@@ -503,6 +542,26 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("model", [
+        fit(make_kernel("nt", 2), SphericalDataset(sample_sphere(3, 500, 1), np.ones(500)), 0.1),
+        fit(make_kernel("rf", 3), SphericalDataset(sample_sphere(3, 100, 3), np.ones(100)), 0.01),
+        FittedRegressor.empty(_NT1, 1.0)], ids=["nt2-500", "rf3-100", "empty"])
+    @pytest.mark.parametrize("count", ["none", "one", "tile - 1", "tile", "tile + 1", "3000"])
+    def test_tiled_variance_is_the_one_array_formula(self, model, count):
+        """The tiles give the variance of the whole cross Gram solved in one
+        call, at every tile boundary, for one 1-D point, for no points and
+        for the prior model, to 1e-14 kappa(1)."""
+        tile = regression._variance_rows(model.n)
+        m = {"none": 0, "one": 1, "tile - 1": tile - 1, "tile": tile, "tile + 1": tile + 1,
+             "3000": 3000}[count]
+        points = sample_sphere(3, max(m, 1), 4)[:m]
+        kappa_one = model.kernel.kappa_one
+        z = regression.solve_triangular(model.L, kernels.gram(model.kernel, points, model.X).T)
+        want = np.clip(kappa_one - np.sum(z * z, axis=0), 0.0, kappa_one)
+        got = predict_variance(model, points[0] if count == "one" else points)
+        assert np.shape(got) == (() if count == "one" else (m,))
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14 * kappa_one
 
     def test_regressor_checks_its_training_points(self):
         with pytest.raises(DomainError, match="training point 1"):
