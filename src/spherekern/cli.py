@@ -444,12 +444,9 @@ def main(argv=None):
             _write(args.emit_plot_data, csv_text)
         if args.out is not None:
             _write(args.out, text)
-    except ConfigurationError as exc:
+    except (ConfigurationError, NumericalError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigurationError) else 3
     if args.out is None:
         sys.stdout.write(text)
     return 0

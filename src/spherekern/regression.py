@@ -17,7 +17,9 @@ gets full relative accuracy.  Greedy traces feed it from their growing
 factor, fixed point sets from one Cholesky factor; both start every point
 at the prior variance kappa(1), which is also every Gram diagonal entry,
 bit for bit.  Every K + shift I, a fit's, a point set's or a synthetic
-target's, is built and factored by :func:`_ridge_factor`, and a point set's
+target's, is built and factored by :func:`_ridge_factor`, which also owns
+the jitter ladder: a failed factorization is retried on a fresh build with
+escalating diagonal jitter, returned with the factor.  A point set's
 K + lam^2 I takes one n x n buffer from inner products to factor:
 ``kernels.gram`` writes the kernel values over the inner products, lam^2
 goes onto that array's diagonal, and the lower factor overwrites it.  The
@@ -281,26 +283,26 @@ def cho_solve(c, b):
     return solve_triangular(c, solve_triangular(c, b), trans="T", overwrite_b=True)
 
 
-def _chol_with_jitter(build):
-    """``(L, jitter)``: lower Cholesky factor of ``build()``, escalating diagonal
-    jitter on failure.
+def _ridge_factor(kernel, points, shift):
+    """``(L, jitter)``: lower Cholesky factor of gram(points) + (shift + jitter) I,
+    the one builder of every ridge system, with the jitter it needed.
 
-    ``build`` returns a fresh, exactly symmetric, C-ordered float matrix.
-    :func:`cholesky` factors it in place, so L shares its buffer.  A failed
-    factorization leaves the buffer overwritten, so each later rung calls
-    ``build`` again.  The buffer is not checked for finiteness; a factor with
-    a non-finite diagonal counts as a failed rung.  The jitter scale trace/n
-    is formed only for a failed rung, so the first rung's jitter is exactly
-    0.0 even where the trace overflows.
+    Each rung of :data:`JITTER_LADDER` builds the Gram afresh and adds shift
+    to its diagonal, which is kappa(1) bit for bit; a rung after a failed one
+    then adds jitter = level * trace/n of that build, so the first rung's
+    jitter is exactly 0.0 even where the trace overflows.  :func:`cholesky`
+    factors the buffer in place, so the Gram buffer is the only n x n array
+    made, and a failed rung leaves it overwritten.  The buffer is not checked
+    for finiteness; a factor with a non-finite diagonal counts as a failed
+    rung.
     """
-    A = build()
-    n = A.shape[0]
-    diag = A.diagonal().copy()
     for level in JITTER_LADDER:
+        A = gram(kernel, points)
+        n = A.shape[0]
+        A.flat[:: n + 1] += shift
         jitter = 0.0
-        if level > 0.0:  # the failed rung before this one overwrote A
-            jitter = level * (float(diag.sum()) / n)
-            A = build()
+        if level > 0.0:
+            jitter = level * (float(A.diagonal().sum()) / n)
             A.flat[:: n + 1] += jitter
         try:
             L = cholesky(A, overwrite_a=True)
@@ -311,27 +313,10 @@ def _chol_with_jitter(build):
         # stands in for the n x n one
         if np.isfinite(L.diagonal()).all():
             return L, jitter
-    ratio = float(np.max(diag) / np.min(diag))
     raise IllConditionedGramError(
-        f"Cholesky failed for {n}x{n} system even with jitter "
-        f"{JITTER_LADDER[-1]:.0e}*trace/n (diagonal ratio max/min {ratio:.3e})"
+        f"Cholesky failed for {n}x{n} system with shift {shift:.3e} "
+        f"even with jitter {jitter:.3e}"
     )
-
-
-def _ridge_factor(kernel, points, shift):
-    """``(L, jitter)``: lower Cholesky factor of gram(points) + shift I, the one
-    builder of every ridge system.
-
-    shift goes onto the Gram's own diagonal, which is kappa(1) bit for bit,
-    and the factor overwrites it, so the Gram buffer is the only n x n array
-    made.
-    """
-    def build():
-        A = gram(kernel, points)
-        A.flat[:: A.shape[0] + 1] += shift
-        return A
-
-    return _chol_with_jitter(build)
 
 
 def fit(kernel, dataset, lam):

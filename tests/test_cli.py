@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -188,6 +189,20 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"ConfigurationError: cannot write {out}: Permission denied\n"
+
+    def test_exhausted_jitter_ladder_is_three(self, monkeypatch, capsys):
+        """A system no ladder jitter can factor exits 3 with one line naming
+        n, the shift and the largest jitter tried."""
+        def indefinite(kernel, points):  # eigenvalues -1 (three times) and 7
+            A = np.full((len(points), len(points)), 2.0)
+            np.fill_diagonal(A, 1.0)
+            return A
+
+        monkeypatch.setattr(regression, "gram", indefinite)
+        assert main(["infogain", "--family", "nt", "--s", "1", "--n", "4", "--lam", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("IllConditionedGramError: Cholesky failed for 4x4 system "
+                       "with shift 2.500e-01 even with jitter 1.250e-06\n")
 
     def test_out_of_range_config_value_is_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

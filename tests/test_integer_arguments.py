@@ -115,7 +115,7 @@ def no_work(monkeypatch):
     factorization and error-rate repetitions fail if they start."""
     for owner, name in ((np.random, "default_rng"), (np.random, "Philox"),
                         (kernels, "_layers"), (spectral, "_quadrature"),
-                        (spectral, "_degree_terms"), (regression, "_chol_with_jitter"),
+                        (spectral, "_degree_terms"), (regression, "cholesky"),
                         (experiments, "_error_rate_rep")):
         monkeypatch.setattr(owner, name, _refuse)
 

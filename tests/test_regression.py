@@ -27,7 +27,7 @@ from spherekern import (
     variance_sum_check,
 )
 from spherekern import kernels, regression
-from spherekern.regression import _chol_with_jitter
+from spherekern.regression import _ridge_factor
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -195,10 +195,25 @@ class TestFit:
         with pytest.raises(ParameterError):
             fit(make_kernel("nt", 1), ds, 0.0)
 
-    def test_indefinite_system_raises(self):
+    def test_indefinite_system_raises(self, monkeypatch):
         """A matrix no ladder jitter can make positive definite fails cleanly."""
-        with pytest.raises(IllConditionedGramError, match="diagonal ratio"):
-            _chol_with_jitter(lambda: np.array([[1.0, 2.0], [2.0, 1.0]]))
+        _stub_gram(monkeypatch, [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(IllConditionedGramError,
+                           match=r"2x2 system with shift 0\.000e\+00 even with jitter 1\.000e-06"):
+            _ridge_factor(None, None, 0.0)
+
+
+def _stub_gram(monkeypatch, A):
+    """Make ``regression.gram`` return a fresh C-ordered copy of A on every
+    call; the returned list counts the builds."""
+    builds = []
+
+    def gram(kernel, points):
+        builds.append(1)
+        return np.array(A, dtype=float)
+
+    monkeypatch.setattr(regression, "gram", gram)
+    return builds
 
 
 def _copying_ladder(A):
@@ -215,7 +230,7 @@ def _copying_ladder(A):
 
 
 class TestJitterLadder:
-    """One ladder factors a fresh build() in place on each rung."""
+    """_ridge_factor factors a fresh build of the Gram in place on each rung."""
 
     @staticmethod
     def _slightly_indefinite(n=40, seed=4):
@@ -226,48 +241,93 @@ class TestJitterLadder:
         A = (q * eig) @ q.T
         return (A + A.T) / 2.0
 
-    def test_matches_the_copying_ladder_bitwise(self):
+    def test_matches_the_copying_ladder_bitwise(self, monkeypatch):
         A = self._slightly_indefinite()
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cholesky(A, lower=True)
         L_ref, jitter_ref = _copying_ladder(A)
-        L, jitter = _chol_with_jitter(A.copy)
+        _stub_gram(monkeypatch, A)
+        L, jitter = _ridge_factor(None, None, 0.0)
         assert jitter == jitter_ref > 0.0
         assert L.tobytes(order="A") == L_ref.tobytes(order="A")
         assert L.flags.c_contiguous and L_ref.flags.c_contiguous
 
-    def test_builds_once_per_rung(self):
-        builds = []
-
-        def build(A):
-            builds.append(1)
-            return A.copy()
-
-        A = self._slightly_indefinite()
-        _chol_with_jitter(lambda: build(A))
+    def test_builds_once_per_rung(self, monkeypatch):
+        builds = _stub_gram(monkeypatch, self._slightly_indefinite())
+        _ridge_factor(None, None, 0.0)
         assert len(builds) == 2
-        builds.clear()
+        builds = _stub_gram(monkeypatch, [[1.0, 3.0], [3.0, 2.0]])
         with pytest.raises(IllConditionedGramError):
-            _chol_with_jitter(lambda: build(np.array([[1.0, 3.0], [3.0, 2.0]])))
+            _ridge_factor(None, None, 0.0)
         assert len(builds) == len(regression.JITTER_LADDER)
 
-    def test_failure_reports_the_original_diagonal(self):
-        """The failed rungs overwrite the buffer; the message keeps diag(A)."""
-        with pytest.raises(IllConditionedGramError, match=r"max/min 4\.000e\+00"):
-            _chol_with_jitter(lambda: np.array([[1.0, 3.0], [3.0, 4.0]]))
+    def test_failure_reports_the_original_diagonal(self, monkeypatch):
+        """The failed rungs overwrite the buffer; the message names the jitter
+        of a fresh build, 1e-6 * trace/n of diag(A) + shift (here 3.0)."""
+        _stub_gram(monkeypatch, [[1.0, 3.0], [3.0, 4.0]])
+        with pytest.raises(IllConditionedGramError,
+                           match=r"2x2 system with shift 5\.000e-01 even with jitter 3\.000e-06"):
+            _ridge_factor(None, None, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("i, j", [(0, 1), (2, 3), (0, 0), (3, 3)])
-    def test_non_finite_entry_never_returns_a_factor(self, bad, i, j):
-        """LAPACK gets the buffer unchecked; a NaN or inf it reads, on or off the
-        diagonal, fails every rung instead of coming back inside L."""
-        def build():
-            A = np.eye(4) + 0.25
-            A[i, j] = A[j, i] = bad
-            return A
-
+    def test_non_finite_entry_never_returns_a_factor(self, bad, i, j, monkeypatch):
+        """The factorization gets the buffer unchecked; a NaN or inf it reads,
+        on or off the diagonal, fails every rung instead of coming back inside L."""
+        A = np.eye(4) + 0.25
+        A[i, j] = A[j, i] = bad
+        _stub_gram(monkeypatch, A)
         with pytest.raises(IllConditionedGramError):
-            _chol_with_jitter(build)
+            _ridge_factor(None, None, 0.0)
+
+
+class TestRidgeFactor:
+    """The ladder on real Grams: duplicated rows at lam = 1e-9 need rung 1."""
+
+    LAM = 1e-9
+
+    @staticmethod
+    def _duplicated(n=60, dup=20, seed=7):
+        X = sample_sphere(3, n, seed)
+        return np.vstack([X, X[:dup]])
+
+    @pytest.mark.parametrize("family, s", [("nt", 1), ("nt", 3), ("rf", 3)])
+    def test_matches_the_copying_ladder_bitwise(self, family, s):
+        kernel, X = make_kernel(family, s), self._duplicated()
+        A = kernels.gram(kernel, X)
+        A.flat[:: len(X) + 1] += self.LAM**2
+        L_ref, jitter_ref = _copying_ladder(A)
+        L, jitter = _ridge_factor(kernel, X, self.LAM**2)
+        assert jitter == jitter_ref > 0.0
+        assert L.tobytes(order="A") == L_ref.tobytes(order="A")
+
+    def test_fit_and_information_gain_record_the_jitter(self, monkeypatch):
+        kernel, X = make_kernel("nt", 1), self._duplicated()
+        expected = 1e-10 * (kernel.kappa_one + self.LAM**2)
+        builds, jitters = [], []
+        real_gram, real_factor = regression.gram, regression._ridge_factor
+
+        def counting_gram(kernel, points):
+            builds.append(1)
+            return real_gram(kernel, points)
+
+        def recording_factor(*args):
+            L, jitter = real_factor(*args)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(regression, "gram", counting_gram)
+        monkeypatch.setattr(regression, "_ridge_factor", recording_factor)
+        model = fit(kernel, SphericalDataset(X, X[:, 0]), self.LAM)
+        assert len(builds) == 2
+        assert model.jitter == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+        test_points = sample_sphere(3, 50, 8)
+        assert np.isfinite(predict_mean(model, test_points)).all()
+        assert np.isfinite(predict_variance(model, test_points)).all()
+        gain = information_gain(kernel, X, self.LAM)
+        assert len(builds) == 4
+        assert jitters == [model.jitter, model.jitter]
+        assert np.isfinite(gain) and gain > 0.0
 
 
 def _ridge_gram(n, shift=0.1):
