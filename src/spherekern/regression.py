@@ -34,9 +34,12 @@ in place by :func:`_solve_lower` and sums its column squares.
 
 Greedy selection grows the factor one row at a time and evaluates the
 kernel only on the rows of the points it selects, so an n-step run over an
-m-point grid costs n*m kernel evaluations, O(n^2 m) arithmetic and O(n m)
-memory; it never forms the m x m grid Gram, and every step's row is
-evaluated out of one kernel workspace.
+m-point grid costs n*m kernel evaluations, O(n^2 m) arithmetic and one
+buffer of n x max(n, m) floats; it never forms the m x m grid Gram, and
+every step's row is evaluated out of one kernel workspace.  Row i of the
+factor is V[:i, sel[i]] and its diagonal, so the steps keep only the
+diagonal, and the finished factor is compacted into the buffer's leading
+n x n square, over the rows of V that it no longer needs.
 
 The factorization and the triangular solves (:func:`cholesky`,
 :func:`solve_triangular`, :func:`cho_solve`) take numpy alone.  One
@@ -439,8 +442,8 @@ def _strict_row_squares(T):
 
 
 def _inverse_row_squares(L):
-    """Per row i, sum_{j<i} (L^{-1})_ij^2 of a lower-triangular L, which it
-    leaves unchanged.
+    """Per row i, sum_{j<i} (L^{-1})_ij^2 of the lower triangle of L, which it
+    leaves unchanged; the strict upper triangle is not read.
 
     L^{-1} is solved one block of columns [c0, c1) at a time: those columns
     are zero above row c0, and below it they solve L[c0:, c0:] X = the
@@ -549,9 +552,13 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     carries lam^2 observation variance).  Returns a :class:`GreedyTrace`
     with the selection order, the variance at each selection, and per-prefix
     information gain, effective dimension, and variance-sum bound, all from
-    :func:`_ledger`.  The steps store the rows of the growing factor; the
-    row norms of its inverse, which only the effective dimension needs, come
-    from the finished factor by :func:`_inverse_row_squares`.
+    :func:`_ledger`.  An n-step run over m grid points takes O(n m) memory:
+    one buffer of n x max(n, m) floats, whose first m columns hold the
+    steps' rows V.  Row i of the growing factor is (V[:i, sel[i]], ell[i]),
+    so only ell is stored; after the last step the factor is compacted into
+    the buffer's leading n x n square, and the row norms of its inverse,
+    which only the effective dimension needs, come from it by
+    :func:`_inverse_row_squares`.
     """
     _check_lam(lam)
     n = _check_int(n, "n", 1)
@@ -564,8 +571,9 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     kappa_one = kernel.kappa_one
     lam2 = lam * lam
 
-    V = np.empty((n, m))
-    L = np.zeros((n, n))  # the growing factor of K + lam^2 I, row i = (v, ell)
+    buf = np.empty((n, max(m, n)))
+    V = buf[:, :m]  # row i of the factor of K + lam^2 I is (V[:i, sel[i]], ell[i])
+    ell = np.empty(n)
     sigma2 = np.full(m, kappa_one)
     sel = np.empty(n, dtype=np.int64)
     variance = np.empty(n)
@@ -585,18 +593,24 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
             raise IllConditionedGramError(
                 f"greedy step {i}: nonpositive Schur complement {schur:.3e}"
             )
-        ell = sqrt(schur)
-        L[i, :i] = v
-        L[i, i] = ell
+        ell[i] = sqrt(schur)
         np.matmul(grid, grid[j], out=u)
         np.clip(u, -1.0, 1.0, out=u)
         u[j] = 1.0  # as in gram: the row's own entry is kappa(1) bit for bit
         k_row = kappa(u)
         np.subtract(k_row, np.matmul(v, V[:i], out=p), out=V[i])
-        V[i] /= ell
+        V[i] /= ell[i]
         sigma2 -= np.square(V[i], out=p)
         np.clip(sigma2, 0.0, None, out=sigma2)  # for the argmax; the ledger clamps its own input
 
+    # the factor into buf's leading n x n square: row k of L^T is V[k, sel],
+    # gathered before it is written over rows <= k of V, which no later row
+    # reads, and its left part takes the mirror of the rows above
+    L = buf.reshape(-1)[: n * n].reshape(n, n)
+    for k in range(n):
+        L[k] = V[k, sel]
+        L[k, :k] = L[:k, k]
+    np.fill_diagonal(L, ell)
     lower = _inverse_row_squares(L)
     info, eff, sum_var, bound = _ledger(variance, lam, kappa_one, lower)
     return GreedyTrace(

@@ -13,6 +13,11 @@ The invariants:
   [-1, 1].  NT is not monotone on [-1, 0): NT s = 1 at l = 2 falls there
   from kappa(-1) = 0 to -0.137 near u = -0.79.
 
+Blocked evaluation moves no bit: on random shapes, 1-D with sizes within 3
+of a multiple of ``_EVAL_BLOCK`` and 2-D in C and in Fortran order, kappa
+called directly and through ``kernels._in_place`` equals one evaluation in
+a single block.
+
 NT s = 1 at l = 3 breaks the second near u = 1.  Its outer layer takes
 arccos of the inner layer's rounded value, with a slope that grows like
 (1 - w)^(-1/2), so an ulp of the inner value becomes about 3e-10 of kappa
@@ -26,9 +31,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from spherekern import make_kernel  # noqa: E402
+from spherekern import kernels, make_kernel  # noqa: E402
 
 EPS = np.finfo(float).eps
+_B = kernels._EVAL_BLOCK
 
 _KERNELS = [(family, s, l) for family in ("nt", "rf") for s in (1, 2, 3) for l in (2, 3)]
 
@@ -77,3 +83,39 @@ def test_kappa_is_nondecreasing(family, s, l, points):
     values = kernel(u[u >= (-1.0 if family == "rf" else 0.0)])
     drop = np.maximum.accumulate(values) - values
     assert drop.max() <= 4.0 * EPS * kernel.kappa_one
+
+
+@st.composite
+def _blocked_inputs(draw):
+    """Uniform inner products of at most 3 * _EVAL_BLOCK entries: 1-D within 3
+    of a multiple of the block, or 2-D in C or Fortran order."""
+    if draw(st.booleans()):
+        k, off = draw(st.integers(0, 3)), draw(st.integers(-3, 3))
+        shape = (min(3 * _B, max(1, k * _B + off)),)
+    else:
+        rows = draw(st.integers(1, 512))
+        shape = (rows, draw(st.integers(1, 3 * _B // rows)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(rng.uniform(-1.0, 1.0, shape), order=draw(st.sampled_from("CF")))
+
+
+@pytest.mark.parametrize("family, s, l", _KERNELS)
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(u=_blocked_inputs())
+def test_blocked_evaluation_matches_one_block(family, s, l, u):
+    """kappa directly and through _in_place, the latter on the C-ordered view
+    (u, or u.T for Fortran order), keeps the bits of a single block."""
+    kernel = make_kernel(family, s, l=l)
+    c_view = u if u.flags.c_contiguous else u.T
+
+    def both():
+        return kernel(u), kernels._in_place(kernel, u.size)(c_view.copy())
+
+    blocked = both()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_EVAL_BLOCK", 1 << 40)
+        assert kernels._workspace(l, family, u.size).shape[1] == u.size
+        whole, whole_in_place = both()
+    assert blocked[0].tobytes() == whole.tobytes()
+    assert blocked[1].tobytes() == whole_in_place.tobytes()
+    assert whole_in_place.tobytes() == np.ascontiguousarray(whole if u is c_view else whole.T).tobytes()

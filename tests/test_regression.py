@@ -1,4 +1,5 @@
 import tracemalloc
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -479,6 +480,12 @@ class TestMemoryCeilings:
     def test_infogain_summary_with_effective_dimension(self):
         assert self._peak(lambda k, x: regression._infogain_summary(k, x, 0.1)) < 2.5
 
+    def test_greedy_holds_one_buffer(self):
+        """n = m: the rows V and the compacted factor share one n x n buffer
+        (1.25 n^2 floats traced), where a second n x n factor beside V read
+        2.24 n^2."""
+        assert self._peak(lambda k, x: greedy_max_variance(k, x, self.N, 0.1)) < 1.5
+
     @pytest.mark.parametrize("predict", [
         predict_variance, lambda m, x: confidence_band(m, x, ConfidenceParams(1.0, 0.1, 0.1))],
         ids=["variance", "band"])
@@ -757,7 +764,65 @@ def _greedy_bruteforce(kernel, grid, n, lam):
     return np.array(selected), np.array(variances)
 
 
+def _greedy_with_own_factor(kernel, grid, n, lam):
+    """The greedy steps with their own n x n factor L beside the rows V: the
+    bit-identity reference of :func:`greedy_max_variance`, which compacts
+    its factor out of V's buffer, as ``(selected_indices, selected_points,
+    selected_variance, *ledger)``."""
+    m = grid.shape[0]
+    kappa_one = kernel.kappa_one
+    lam2 = lam * lam
+    V = np.empty((n, m))
+    L = np.zeros((n, n))
+    sigma2 = np.full(m, kappa_one)
+    sel = np.empty(n, dtype=np.int64)
+    variance = np.empty(n)
+    u = np.empty(m)
+    p = np.empty(m)
+    kappa = kernels._in_place(kernel, m)
+    for i in range(n):
+        j = int(np.argmax(sigma2))
+        sel[i] = j
+        v = V[:i, j]
+        vv = float(v @ v)
+        variance[i] = kappa_one - vv
+        ell = sqrt(kappa_one + lam2 - vv)
+        L[i, :i] = v
+        L[i, i] = ell
+        np.matmul(grid, grid[j], out=u)
+        np.clip(u, -1.0, 1.0, out=u)
+        u[j] = 1.0
+        k_row = kappa(u)
+        np.subtract(k_row, np.matmul(v, V[:i], out=p), out=V[i])
+        V[i] /= ell
+        sigma2 -= np.square(V[i], out=p)
+        np.clip(sigma2, 0.0, None, out=sigma2)
+    lower = regression._inverse_row_squares(L)
+    return (sel, grid[sel], variance,
+            *regression._ledger(variance, lam, kappa_one, lower))
+
+
 class TestGreedyMaxVariance:
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    @pytest.mark.parametrize("family,s", [("nt", 1), ("rf", 3)])
+    @pytest.mark.parametrize("n,m", [(150, 407), (60, 60), (8, 3)],
+                             ids=["n<m", "n=m", "n>m"])
+    def test_bits_match_a_separate_factor(self, n, m, family, s, lam):
+        """Every trace array keeps the bits of the steps with their own factor,
+        for a factor compacted out of a wider V (n < m), of a square one
+        (n = m) and of a strided V with reselected points (n > m)."""
+        kernel = make_kernel(family, s)
+        grid = sample_sphere(3, m, 21)
+        trace = greedy_max_variance(kernel, grid, n, lam)
+        fields = ("selected_indices", "selected_points", "selected_variance",
+                  "info_gain", "effective_dim", "sum_variance", "bound_rhs")
+        for name, want in zip(fields, _greedy_with_own_factor(kernel, grid, n, lam)):
+            got = getattr(trace, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        if n > m:
+            assert len(set(trace.selected_indices.tolist())) < n
+
     def test_first_selection_is_index_zero(self):
         """sigma_0 is constant on the sphere, so ties break to index 0."""
         grid = sample_sphere(3, 30, 3)
