@@ -36,6 +36,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -133,6 +134,23 @@ _SIGNS = {
 _FULL_SCALE = {
     "error-rate": {"reps": 20, "max_exp": 13},
 }
+
+
+# argparse reads "-0.5" after a flag as the flag's value, but "-1e-05", a
+# negative float in exponent form as repr writes small ones, as a flag
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _join_negative_exponents(argv):
+    """``argv`` with each such value joined to the flag before it by ``=``,
+    which argparse reads as the flag's value."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and _NEGATIVE_EXPONENT.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 @functools.cache
@@ -434,7 +452,7 @@ def _write(path, text):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_exponents(sys.argv[1:] if argv is None else argv))
     try:
         _check_destinations(args)
         cfg = resolve_config(args.command, args)

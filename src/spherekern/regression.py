@@ -39,7 +39,13 @@ buffer of n x max(n, m) floats; it never forms the m x m grid Gram, and
 every step's row is evaluated out of one kernel workspace.  Row i of the
 factor is V[:i, sel[i]] and its diagonal, so the steps keep only the
 diagonal, and the finished factor is compacted into the buffer's leading
-n x n square, over the rows of V that it no longer needs.
+n x n square, over the rows of V that it no longer needs; the identity
+columns of its inverse's solves come from the buffer's dead tail.  Each
+step's product with V[:i], the bulk of a run, is split by columns on more
+than one CPU: one blocked helper thread per run computes the right part
+while the step computes the left part and its kernel row, with the bits of
+the whole product.  The steps live in ``_greedy``, which only a greedy run
+imports.
 
 The factorization and the triangular solves (:func:`cholesky`,
 :func:`solve_triangular`, :func:`cho_solve`) take numpy alone.  One
@@ -67,7 +73,7 @@ from .errors import (
     _check_lam,
     _check_positive,
 )
-from .kernels import _block_rows, _check_unit_rows, _expansion, _in_place, _tiles, gram
+from .kernels import _block_rows, _check_unit_rows, _expansion, _tiles, gram
 from .serialize import JsonReport
 
 #: Jitter escalation for near-singular factorizations, as multiples of trace/n.
@@ -441,20 +447,26 @@ def _strict_row_squares(T):
     return np.square(T, out=T).sum(axis=1)
 
 
-def _inverse_row_squares(L):
+def _inverse_row_squares(L, work=np.empty(0)):
     """Per row i, sum_{j<i} (L^{-1})_ij^2 of the lower triangle of L, which it
     leaves unchanged; the strict upper triangle is not read.
 
     L^{-1} is solved one block of columns [c0, c1) at a time: those columns
     are zero above row c0, and below it they solve L[c0:, c0:] X = the
     matching columns of the identity.  That is n^3/6 multiply-adds and
-    O(n * block) memory, with no n x n temporary.
+    O(n * block) memory, with no n x n temporary.  Each block's identity
+    columns (the bits of ``np.eye``) are written into the front of the flat
+    float array ``work`` when it holds them, else into a new array.
     """
     n = L.shape[0]
     lower = np.zeros(n)
     size = _block_size(n)
     for c0 in range(0, n, size):
-        cols = np.eye(n - c0, min(size, n - c0))
+        rows, width = n - c0, min(size, n - c0)
+        fits = work.size >= rows * width
+        cols = work[: rows * width].reshape(rows, width) if fits else np.empty((rows, width))
+        cols[...] = 0.0
+        np.fill_diagonal(cols, 1.0)
         lower[c0:] += _strict_row_squares(solve_triangular(L[c0:, c0:], cols, overwrite_b=True))
     return lower
 
@@ -553,12 +565,13 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
     with the selection order, the variance at each selection, and per-prefix
     information gain, effective dimension, and variance-sum bound, all from
     :func:`_ledger`.  An n-step run over m grid points takes O(n m) memory:
-    one buffer of n x max(n, m) floats, whose first m columns hold the
-    steps' rows V.  Row i of the growing factor is (V[:i, sel[i]], ell[i]),
-    so only ell is stored; after the last step the factor is compacted into
-    the buffer's leading n x n square, and the row norms of its inverse,
-    which only the effective dimension needs, come from it by
-    :func:`_inverse_row_squares`.
+    the steps (``_greedy._select``) fill one buffer of n x max(n, m) floats
+    and leave the factor in its leading n x n square, and the row norms of
+    its inverse, which only the effective dimension needs, come from it by
+    :func:`_inverse_row_squares`, whose identity columns take the buffer's
+    dead tail when m > n.  On more than one CPU each step's product with
+    the factor's rows is split by columns with a helper thread, with the
+    bits of the whole product.
     """
     _check_lam(lam)
     n = _check_int(n, "n", 1)
@@ -567,52 +580,11 @@ def greedy_max_variance(kernel, candidate_grid, n, lam):
         raise ConfigurationError("candidate grid is empty")
     _check_unit_rows(grid)
 
-    m = grid.shape[0]
-    kappa_one = kernel.kappa_one
-    lam2 = lam * lam
+    from ._greedy import _select
 
-    buf = np.empty((n, max(m, n)))
-    V = buf[:, :m]  # row i of the factor of K + lam^2 I is (V[:i, sel[i]], ell[i])
-    ell = np.empty(n)
-    sigma2 = np.full(m, kappa_one)
-    sel = np.empty(n, dtype=np.int64)
-    variance = np.empty(n)
-    u = np.empty(m)  # inner products with the selected point, then its kernel row
-    p = np.empty(m)  # v @ V[:i], then V[i]^2
-    kappa = _in_place(kernel, m)
-
-    for i in range(n):
-        j = int(np.argmax(sigma2))
-        sel[i] = j
-
-        v = V[:i, j]
-        vv = float(v @ v)
-        variance[i] = kappa_one - vv
-        schur = kappa_one + lam2 - vv
-        if schur <= 0.0:
-            raise IllConditionedGramError(
-                f"greedy step {i}: nonpositive Schur complement {schur:.3e}"
-            )
-        ell[i] = sqrt(schur)
-        np.matmul(grid, grid[j], out=u)
-        np.clip(u, -1.0, 1.0, out=u)
-        u[j] = 1.0  # as in gram: the row's own entry is kappa(1) bit for bit
-        k_row = kappa(u)
-        np.subtract(k_row, np.matmul(v, V[:i], out=p), out=V[i])
-        V[i] /= ell[i]
-        sigma2 -= np.square(V[i], out=p)
-        np.clip(sigma2, 0.0, None, out=sigma2)  # for the argmax; the ledger clamps its own input
-
-    # the factor into buf's leading n x n square: row k of L^T is V[k, sel],
-    # gathered before it is written over rows <= k of V, which no later row
-    # reads, and its left part takes the mirror of the rows above
-    L = buf.reshape(-1)[: n * n].reshape(n, n)
-    for k in range(n):
-        L[k] = V[k, sel]
-        L[k, :k] = L[:k, k]
-    np.fill_diagonal(L, ell)
-    lower = _inverse_row_squares(L)
-    info, eff, sum_var, bound = _ledger(variance, lam, kappa_one, lower)
+    sel, variance, L, tail = _select(kernel, grid, n, lam * lam)
+    lower = _inverse_row_squares(L, tail)
+    info, eff, sum_var, bound = _ledger(variance, lam, kernel.kappa_one, lower)
     return GreedyTrace(
         lam=lam,
         selected_indices=sel,

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -225,6 +226,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("ConfigurationError: config value ")
         assert err.count("\n") == 1
+
+
+class TestExponentFormNegativeFloats:
+    """A negative float in exponent form, as repr writes small floats, is a
+    flag's value whether it follows the flag or is joined to it by '='."""
+
+    EVAL = ["kernel-eval", "--family", "nt", "--s", "1"]
+
+    @staticmethod
+    def _report(argv, capsys):
+        assert main(argv) == 0
+        return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "MASKED"', capsys.readouterr().out)
+
+    def test_spaced_value_gives_the_joined_report(self, capsys):
+        spaced = self._report([*self.EVAL, "--u", "-1e-05", "--u", "-2.5E-3"], capsys)
+        joined = self._report([*self.EVAL, "--u=-1e-05", "--u=-2.5E-3"], capsys)
+        assert spaced == joined
+        assert payload_of(spaced)["u"] == [-1e-05, -2.5e-3]
+
+    def test_console_argv_takes_the_spaced_value(self):
+        res = run_cli(*self.EVAL, "--u", "-1e-05")
+        assert res.returncode == 0, res.stderr
+        assert payload_of(res.stdout)["u"] == [-1e-05]
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-0.5"])
+    def test_negative_lam2_is_a_configuration_error(self, value, monkeypatch, capsys):
+        """--lam2 -1e-05 exits 2 with the one line any negative value gives."""
+        def never(*args):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setitem(cli._HANDLERS, "error-rate", never)
+        argv = ["error-rate", "--family", "nt", "--s", "1", "--d", "3", "--lam2", value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"ConfigurationError: lam2 must be finite and positive, got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("tail", [["--u", "-1e-05", "--bogus"], ["--u", "-x"]])
+    def test_unknown_flags_still_exit_two(self, tail, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.EVAL, *tail])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestKernelEval:

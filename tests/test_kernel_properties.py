@@ -22,7 +22,8 @@ NT s = 1 at l = 3 breaks the second near u = 1.  Its outer layer takes
 arccos of the inner layer's rounded value, with a slope that grows like
 (1 - w)^(-1/2), so an ulp of the inner value becomes about 3e-10 of kappa
 within 1e-12 of u = 1, and adjacent floats fall by up to 2.9e-10
-(0.99999999999974 and the float after it).  That case is a strict xfail.
+(0.99999999999974 and the float after it).  That case is a strict xfail on
+that cluster, outside the search.
 """
 
 import numpy as np
@@ -54,15 +55,6 @@ def _grid(uniform, log_gaps):
     return np.unique(np.clip(base + steps, -1.0, 1.0))
 
 
-def _nondecreasing_case(family, s, l):
-    marks = ()
-    if (family, s, l) == ("nt", 1, 3):
-        marks = pytest.mark.xfail(
-            strict=True, reason="an ulp of the inner layer's value drops kappa by "
-                                "up to 2.9e-10 near u = 1")
-    return pytest.param(family, s, l, marks=marks)
-
-
 @pytest.mark.parametrize("family, s, l", _KERNELS)
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(points=_points)
@@ -72,17 +64,31 @@ def test_kappa_never_exceeds_kappa_one(family, s, l, points):
     assert np.all(np.abs(values) <= kernel.kappa_one)
 
 
-@pytest.mark.parametrize("family, s, l", [_nondecreasing_case(*k) for k in _KERNELS])
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(points=_points)
-def test_kappa_is_nondecreasing(family, s, l, points):
-    """On [0, 1] for every kernel, on [-1, 1] for RF: no value lies more than
-    4 eps kappa(1) below one at a smaller u."""
+def _check_nondecreasing(family, s, l, u):
+    """No value of kappa on u, restricted to [0, 1] (all of [-1, 1] for RF),
+    lies more than 4 eps kappa(1) below one at a smaller u."""
     kernel = make_kernel(family, s, l=l)
-    u = _grid(*points)
     values = kernel(u[u >= (-1.0 if family == "rf" else 0.0)])
     drop = np.maximum.accumulate(values) - values
     assert drop.max() <= 4.0 * EPS * kernel.kappa_one
+
+
+@pytest.mark.parametrize("family, s, l", [k for k in _KERNELS if k != ("nt", 1, 3)])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(points=_points)
+def test_kappa_is_nondecreasing(family, s, l, points):
+    """On [0, 1] for every kernel but NT s = 1 at l = 3, on [-1, 1] for RF."""
+    _check_nondecreasing(family, s, l, _grid(*points))
+
+
+@pytest.mark.xfail(strict=True, reason="an ulp of the inner layer's value drops kappa by "
+                                       "up to 2.9e-10 near u = 1")
+def test_kappa_is_nondecreasing_near_one_nt_1_3():
+    """NT s = 1 at l = 3 on the measured cluster: 0.99999999999974 and the
+    eight floats on each side, where adjacent values fall by 2.9e-10.  A
+    fixed example rather than a search, so that no failing example is
+    discovered and saved."""
+    _check_nondecreasing("nt", 1, 3, _grid([0.99999999999974], []))
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from math import sqrt
 
@@ -27,7 +29,7 @@ from spherekern import (
     sample_sphere,
     variance_sum_check,
 )
-from spherekern import kernels, regression
+from spherekern import _greedy, kernels, regression
 from spherekern.regression import _ridge_factor
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -485,6 +487,22 @@ class TestMemoryCeilings:
         (1.25 n^2 floats traced), where a second n x n factor beside V read
         2.24 n^2."""
         assert self._peak(lambda k, x: greedy_max_variance(k, x, self.N, 0.1)) < 1.5
+
+    def test_greedy_takes_identity_columns_from_the_buffer_tail(self):
+        """m = 8n: the effective dimension's identity columns come from the
+        dead n x (m - n) tail of the one buffer, so a 512-step run over 4096
+        points traces 16.34 MiB for its 16 MiB buffer, where 512 x 64
+        ``np.eye`` blocks read 16.68 MiB."""
+        n, m = 512, 4096
+        grid = sample_sphere(3, m, 6)
+        kernel = make_kernel("nt", 2)
+        tracemalloc.start()
+        try:
+            greedy_max_variance(kernel, grid, n, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * m + (1 << 19)
 
     @pytest.mark.parametrize("predict", [
         predict_variance, lambda m, x: confidence_band(m, x, ConfidenceParams(1.0, 0.1, 0.1))],
@@ -956,6 +974,195 @@ class TestGreedyMaxVariance:
         assert doc["payload"]["n"] == 4
         assert "selected_points" not in doc["payload"]
         assert doc["meta"]["timestamp"] == "MASKED"
+
+
+_TRACE_FIELDS = ("selected_indices", "selected_points", "selected_variance",
+                 "info_gain", "effective_dim", "sum_variance", "bound_rhs")
+
+
+def _trace_bytes(trace):
+    return [(getattr(trace, name).dtype, getattr(trace, name).tobytes())
+            for name in _TRACE_FIELDS]
+
+
+class _CountingSplit(_greedy._ColumnSplit):
+    """The column split, counting the helper threads it started and the
+    products it handed over."""
+
+    made = 0
+    steps = 0
+
+    def start(self, v, rows, out):
+        h = super().start(v, rows, out)
+        _CountingSplit.steps += h < self.m
+        return h
+
+    def close(self):
+        _CountingSplit.made += self._thread is not None
+        super().close()
+
+
+class _FailingSplit(_CountingSplit):
+    """A split whose helper gets an output one entry short, so that its
+    product raises ValueError."""
+
+    def start(self, v, rows, out):
+        return super().start(v, rows, out[:-1])
+
+
+def _run_guarded(call, timeout=60.0):
+    """``call()`` in a thread joined with a timeout (no pytest-timeout here):
+    returns what it raised, or None; fails if it is still running."""
+    raised = []
+
+    def target():
+        try:
+            call()
+        except BaseException as exc:  # returned to the test
+            raised.append(exc)
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "greedy run still running after the timeout"
+    return raised[0] if raised else None
+
+
+class _PoisonedKernel:
+    """NT s = 1 whose kernel rows turn to 1e6 after ``after`` calls, so the
+    step after the first such row meets a nonpositive Schur complement."""
+
+    def __init__(self, after):
+        self.real = make_kernel("nt", 1)
+        self.kappa_one = self.real.kappa_one
+        self.after = after
+        self.calls = 0
+
+    def __call__(self, u, out=None):
+        out = self.real(u, out=out)
+        self.calls += 1
+        if self.calls > self.after:
+            out[...] = 1e6
+        return out
+
+
+class TestGreedyProductHelper:
+    """A helper thread takes the right half of each large step's product
+    v @ V[:i]; the traces keep every bit."""
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        monkeypatch.setattr(_CountingSplit, "made", 0)
+        monkeypatch.setattr(_CountingSplit, "steps", 0)
+        monkeypatch.setattr(_greedy, "_ColumnSplit", _CountingSplit)
+        return _CountingSplit
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    @pytest.mark.parametrize("family,s", [("nt", 1), ("rf", 3)])
+    @pytest.mark.parametrize("n,m", [(300, 1096), (300, 1024), (300, 1032), (300, 264)],
+                             ids=["m=1096", "m=floor", "m=floor+8", "n>m"])
+    def test_bits_with_and_without_the_helper(self, n, m, family, s, lam, counting,
+                                              monkeypatch):
+        """Every trace array has the same bits with the helper, without it (one
+        CPU) and with the steps that keep their own factor: for m not a
+        multiple of 64, m at and just above the floor, and a strided V with
+        reselected points, with the floors lowered for it (n > m)."""
+        if m < _greedy._ColumnSplit.MIN_COLUMNS:
+            monkeypatch.setattr(_greedy._ColumnSplit, "MIN_COLUMNS", 256)
+            monkeypatch.setattr(_greedy._ColumnSplit, "MIN_ENTRIES", 1 << 16)
+        kernel = make_kernel(family, s)
+        grid = sample_sphere(3, m, 21)
+        want = _greedy_with_own_factor(kernel, grid, n, lam)
+        threads = threading.active_count()
+
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 1)
+        alone = greedy_max_variance(kernel, grid, n, lam)
+        assert counting.made == 0
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 2)
+        helped = greedy_max_variance(kernel, grid, n, lam)
+        assert counting.made == 1 and counting.steps > 0
+        assert threading.active_count() == threads
+
+        assert _trace_bytes(helped) == _trace_bytes(alone)
+        assert _trace_bytes(helped) == [(a.dtype, a.tobytes()) for a in want]
+        if n > m:
+            assert len(set(helped.selected_indices.tolist())) < n
+
+    def test_bits_hold_under_a_short_switch_interval(self, counting, monkeypatch):
+        """The hand-offs under thread switches every microsecond: the trace
+        keeps the bits of the run without the helper, and no thread is left."""
+        grid = sample_sphere(3, 1024, 8)
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 1)
+        alone = greedy_max_variance(_NT1, grid, 400, 0.1)
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 2)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            helped = []
+            assert _run_guarded(lambda: helped.append(
+                greedy_max_variance(_NT1, grid, 400, 0.1))) is None
+        finally:
+            sys.setswitchinterval(interval)
+        assert counting.made == 1 and counting.steps == 144
+        assert threading.active_count() == threads
+        assert _trace_bytes(helped[0]) == _trace_bytes(alone)
+
+    @pytest.mark.parametrize("m", [1016, 1030, 512])
+    def test_no_helper_off_the_rule(self, m, counting, monkeypatch):
+        """Below the column floor, or off a multiple of 8 (where OpenBLAS at
+        two threads splits the whole product at another row than the halves'),
+        no helper starts."""
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 2)
+        greedy_max_variance(_NT1, sample_sphere(3, m, 2), 300, 0.1)
+        assert counting.made == 0
+
+    def test_small_steps_keep_the_product_whole(self, counting, monkeypatch):
+        """Steps whose V[:i] holds fewer than MIN_ENTRIES entries take
+        no hand-off: at m = 1024 that is the first 256."""
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 2)
+        greedy_max_variance(_NT1, sample_sphere(3, 1024, 2), 256, 0.1)
+        assert counting.made == 0
+        greedy_max_variance(_NT1, sample_sphere(3, 1024, 2), 260, 0.1)
+        assert counting.made == 1 and counting.steps == 4
+
+    def test_schur_failure_joins_the_helper(self, counting, monkeypatch):
+        """A nonpositive Schur complement after the helper has started raises
+        IllConditionedGramError promptly and leaves no thread behind."""
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 2)
+        grid = sample_sphere(3, 1024, 4)
+        threads = threading.active_count()
+        raised = _run_guarded(lambda: greedy_max_variance(_PoisonedKernel(300), grid, 400, 0.1))
+        assert isinstance(raised, IllConditionedGramError)
+        assert "greedy step 301" in str(raised)
+        assert counting.made == 1 and counting.steps > 0
+        assert threading.active_count() == threads
+
+    def test_helper_exception_reaches_the_caller(self, counting, monkeypatch):
+        """An exception raised in the helper's product is raised again in the
+        calling thread, and the helper is joined."""
+        monkeypatch.setattr(_greedy, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(_greedy, "_ColumnSplit", _FailingSplit)
+        grid = sample_sphere(3, 1024, 4)
+        threads = threading.active_count()
+        raised = _run_guarded(lambda: greedy_max_variance(_NT1, grid, 300, 0.1))
+        assert isinstance(raised, ValueError)
+        assert counting.made == 1 and counting.steps == 1
+        assert threading.active_count() == threads
+
+    def test_inverse_row_squares_takes_its_identity_from_work(self):
+        """With a work array that holds a block, each block's identity columns
+        are written there and the row norms keep the bits of the allocating
+        path; a work array too small for a block is left alone."""
+        L, _ = _ridge_factor(_NT1, sample_sphere(3, 300, 9), 0.01)
+        want = regression._inverse_row_squares(L).tobytes()
+        for size, touched in [(300 * 64, True), (300 * 64 - 1, True), (100, False), (0, False)]:
+            work = np.full(size, np.nan)
+            assert regression._inverse_row_squares(L, work).tobytes() == want, size
+            assert (not np.isnan(work).all()) == touched, size
+        # blocks of 300 - c0 rows: at 64 * 64 only the last two fit
+        work = np.full(64 * 64, np.nan)
+        assert regression._inverse_row_squares(L, work).tobytes() == want
 
 
 class TestVarianceSumCheck:
