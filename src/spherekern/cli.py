@@ -42,7 +42,7 @@ import sys
 import numpy as np
 
 from .errors import (
-    ConfigurationError, NumericalError, ParameterError, _check_int, _check_lam, _in_range,
+    ConfigurationError, NumericalError, ParameterError, _check_int, _check_lam, _check_positive,
 )
 from .kernels import _available_cpus, _check_unit_rows, make_kernel
 from .serialize import csv_table, json_document
@@ -259,8 +259,9 @@ def _check_values(cfg):
             _check_int(cfg["workers"], "workers", 1)
         for pname, value in cfg.items():
             sign = _SIGNS.get(pname)
-            if sign and not _in_range(value, allow_zero=sign == "non-negative"):
-                raise ConfigurationError(f"{pname} must be finite and {sign}, got {value!r}")
+            if sign:
+                _check_positive(value, f"{pname} must be finite and {sign}, got {value!r}",
+                                allow_zero=sign == "non-negative")
         if "lam" in cfg:
             _check_lam(cfg["lam"])
         if "degree_min" in cfg:

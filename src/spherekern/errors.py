@@ -5,10 +5,10 @@ subclasses signal bad inputs or parameters (exit code 2), while
 ``NumericalError`` subclasses signal a computation that could not be
 completed reliably (exit code 3).
 
-``_in_range`` is the one finite-and-positive range rule: the library's
-float parameters go through it by ``_check_positive``, the CLI's by
-``cli._check_values``; ``_check_lam`` is the one range rule for lam, and
-``_check_int`` the one integer rule (dimensions, powers, depths, degrees, counts).
+``_check_positive`` is the one finite-and-positive range rule, for the
+library's float parameters and, through ``cli._check_values``, the CLI's;
+``_check_lam`` is the one range rule for lam, and ``_check_int`` the one
+integer rule (dimensions, powers, depths, degrees, counts).
 """
 
 from math import isfinite
@@ -66,17 +66,13 @@ class ExperimentError(NumericalError):
     """Too many repetitions of an experiment failed to produce results."""
 
 
-def _in_range(value, allow_zero=False):
-    """Whether ``value`` is finite and > 0 (>= 0 with ``allow_zero``).
+def _check_positive(value, message, allow_zero=False):
+    """Raise ``ParameterError(message)`` unless ``value`` is finite and > 0
+    (>= 0 with ``allow_zero``).
 
     NaN and +-inf always fail, which a bare ``value <= 0`` test lets through.
     """
-    return isfinite(value) and (value >= 0 if allow_zero else value > 0)
-
-
-def _check_positive(value, message, allow_zero=False):
-    """Raise ``ParameterError(message)`` unless ``_in_range(value, allow_zero)``."""
-    if not _in_range(value, allow_zero):
+    if not (isfinite(value) and (value >= 0 if allow_zero else value > 0)):
         raise ParameterError(message)
 
 

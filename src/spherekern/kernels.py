@@ -18,11 +18,15 @@ against mpmath).  Deeper networks (``l > 2``) are handled by the layer recursion
 Every public evaluator, ``rf_derivative`` included, goes through one path:
 it validates ``u`` once, on entry (NaN is rejected), then evaluates it in
 cache-sized blocks of ``_EVAL_BLOCK`` entries out of one workspace of block
-buffers that the calling thread allocates once per evaluation: three (t, S
-and one scratch buffer), and two more for NT from depth 3 on.  Gram
-matrices, kernel expansions and greedy rows, whose inner products are
-already clipped, skip the second validation and share one workspace across
-all their blocks, tiles and steps (:func:`_in_place`).  A seeded
+buffers that the calling thread allocates once per evaluation, into a new
+array: three (t, S and one scratch buffer), and two more for NT from depth
+3 on.  Gram matrices, kernel expansions, posterior variances and greedy
+rows, whose inner products are already clipped, write kappa over them
+through the one in-place evaluator, :func:`_in_place`: a
+:class:`DotProductKernel` there skips the second validation and shares one
+workspace across all blocks, tiles and steps.  Every layer takes any
+vectorised callable ``u -> kappa(u)`` as a kernel; where it needs the prior
+variance, the kernel also carries ``kappa_one``, kappa(1).  A seeded
 Monte-Carlo oracle estimates the defining Gaussian expectations directly
 and is used to validate the closed forms.  It draws its samples in chunks,
 each from its own Philox substream, on one thread per available CPU (at
@@ -106,21 +110,14 @@ def _slope_row(s):
 _FORMS.update({("slope", s): _slope_row(s) for s in _SUPPORTED_S})
 
 
-def _as_ufloat(u, out=None):
+def _as_ufloat(u):
     """Validate and clamp an inner-product argument.
 
     Returns (array, was_scalar), a scalar as a 1-element array.  Raises
     DomainError if any entry is NaN or lies outside [-1 - U_CLAMP_TOL,
-    1 + U_CLAMP_TOL].  Only clamping copies, into ``out`` when it is given,
-    so never write into the array unless it is ``out``.
+    1 + U_CLAMP_TOL].  Only clamping copies, so never write into the array.
     """
     arr = np.asarray(u, dtype=float)
-    if out is not None and not (
-        out.shape == arr.shape and out.dtype == float and out.flags.c_contiguous
-    ):
-        raise ConfigurationError(
-            f"out must be a C-contiguous float array of shape {arr.shape}"
-        )
     hi, lo = arr.max(initial=-1.0), arr.min(initial=1.0)  # both NaN if one entry is
     if np.isnan(hi):
         raise DomainError("inner product is NaN")
@@ -129,7 +126,7 @@ def _as_ufloat(u, out=None):
         raise DomainError(
             f"inner product outside [-1, 1] by {excess:.3e} (tolerance {U_CLAMP_TOL:.0e})"
         )
-    clamped = np.clip(arr, -1.0, 1.0, out=out) if excess > 0.0 else arr
+    clamped = np.clip(arr, -1.0, 1.0) if excess > 0.0 else arr
     return np.atleast_1d(clamped), arr.ndim == 0
 
 
@@ -263,23 +260,20 @@ def _kappa(u, out, s, l, family, c2, work):
     return out
 
 
-def _evaluate(u, s, l=2, family="rf", drop_c2=False, out=None):
+def _evaluate(u, s, l=2, family="rf", drop_c2=False):
     """Validate ``u`` and ``s`` once, then run the layer recursion on u block by
-    block out of one :func:`_workspace`; ``out`` (returned when given) may be
-    ``u`` itself."""
+    block out of one :func:`_workspace` into a new array (a float for a
+    scalar u)."""
     l = _check_int(l, "l", 2)
     s = _check_int(s, "s", 0, UnsupportedSmoothnessError)
-    arr, scalar = _as_ufloat(u, out)
+    arr, scalar = _as_ufloat(u)
     if (family, s) not in _FORMS:
         supported = sorted(k for f, k in _FORMS if f == family)
         raise UnsupportedSmoothnessError(
             f"no closed form for s={s}; supported s in {supported}"
         )
     c2 = 1.0 if drop_c2 else 2.0 / double_factorial_odd(s)
-    res = np.empty(arr.shape) if out is None else out
-    _kappa(arr, res, s, l, family, c2, _workspace(l, family, arr.size))
-    if out is not None:
-        return out
+    res = _kappa(arr, np.empty(arr.shape), s, l, family, c2, _workspace(l, family, arr.size))
     return float(res[0]) if scalar else res
 
 
@@ -369,11 +363,10 @@ class DotProductKernel:
         self.drop_c2 = bool(drop_c2)
         self.kappa_one = float(self(1.0))
 
-    def __call__(self, u, out=None):
-        """kappa(u); with ``out`` (a C-contiguous float array of u's shape,
-        possibly u itself) the values are written into it and it is returned."""
+    def __call__(self, u):
+        """kappa(u) as a new array, or a float for a scalar u."""
         spec = self.spec
-        return _evaluate(u, spec.s, spec.l, spec.family, self.drop_c2, out)
+        return _evaluate(u, spec.s, spec.l, spec.family, self.drop_c2)
 
     def __repr__(self):
         extra = ", drop_c2=True" if self.drop_c2 else ""
@@ -407,9 +400,10 @@ def gram(kernel, points, points2=None):
     set to 1 before the kernel is applied, not taken from the matrix product,
     which can be an ulp off.  Inner products are clipped to [-1, 1] before
     kernel evaluation so that rounding in the matrix product cannot push them
-    outside the kernel domain.  The kernel writes into the inner-product
-    array (:func:`_in_place`), so besides one workspace the result is the
-    only array made.
+    outside the kernel domain.  The kernel values are written over the
+    inner-product array (:func:`_in_place`), so for a
+    :class:`DotProductKernel` the result is, besides one workspace, the only
+    array made; any other kernel is a vectorised callable ``u -> kappa(u)``.
     """
     X = _check_unit_rows(points)
     Y = X if points2 is None else _check_unit_rows(points2)
@@ -422,17 +416,23 @@ def gram(kernel, points, points2=None):
 
 
 def _in_place(kernel, size):
-    """``U -> kernel(U, out=U)`` for C-contiguous inner products already
-    clipped to [-1, 1].
+    """``U -> kappa(U)`` written over U and returned, for C-contiguous inner
+    products already clipped to [-1, 1]: the one in-place evaluator of
+    kappa, which Gram matrices, expansion tiles, posterior variances and
+    greedy rows all go through.
 
     A :class:`DotProductKernel` skips the second validation and evaluates
     every array it is given block by block out of one :func:`_workspace` for
     ``size`` entries at a time, allocated here, in the calling thread, so
     that the blocks of all its calls reuse the same buffers.  Any other
-    kernel is called as it is.
+    kernel, a vectorised callable ``u -> kappa(u)``, is called on U and its
+    values are copied over U.
     """
     if not isinstance(kernel, DotProductKernel):
-        return lambda U: kernel(U, out=U)
+        def evaluate(U):
+            U[...] = kernel(U)
+            return U
+        return evaluate
     spec = kernel.spec
     c2 = 1.0 if kernel.drop_c2 else spec.c_squared
     work = _workspace(spec.l, spec.family, size)

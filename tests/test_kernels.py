@@ -445,7 +445,8 @@ class TestBlockedEvaluation:
 
 
 class TestInPlaceEvaluation:
-    """``kernel(u, out=u)`` gives the bits of the allocating call."""
+    """``kernels._in_place``, the one in-place evaluator, gives the bits of the
+    public call, which validates and clamps, on a 2-D array of several blocks."""
 
     @staticmethod
     def _inputs():
@@ -462,20 +463,12 @@ class TestInPlaceEvaluation:
     def test_bitwise_equal_to_allocating_call(self, family, s, l):
         kernel = make_kernel(family, s, l)
         for u in self._inputs():
+            before = u.copy()
             expected = kernel(u)
-            other, before = np.empty_like(u), u.copy()
-            assert kernel(u, out=other) is other
-            assert _bits(other) == _bits(expected) and _bits(u) == _bits(before)
-            assert kernel(u, out=u) is u
-            assert _bits(u) == _bits(expected)
-
-    def test_rejects_an_out_it_cannot_fill(self):
-        kernel = make_kernel("nt", 1)
-        u = np.zeros((4, 6))
-        for out in (np.empty((6, 4)), np.empty((4, 6), dtype=np.float32),
-                    np.empty((6, 4)).T, np.empty((4, 12))[:, ::2]):
-            with pytest.raises(ConfigurationError, match="out must be"):
-                kernel(u, out=out)
+            assert _bits(u) == _bits(before)
+            U = np.clip(u, -1.0, 1.0)
+            assert kernels._in_place(kernel, 100)(U) is U
+            assert _bits(U) == _bits(expected)
 
 
 def _reference_kappa(family, s, l, u, c2):
@@ -545,29 +538,34 @@ class TestWorkspace:
             assert _bits(in_place(u.copy())) == _bits(expected)
 
     def test_other_kernels_take_their_public_call(self):
-        """A kernel that is not a DotProductKernel is called with ``out``."""
+        """A kernel that is not a DotProductKernel, a plain function u ->
+        kappa(u), is called once on the clipped inner products, and its values
+        are written over them."""
         kernel, shapes = make_kernel("nt", 2), []
 
-        def custom(u, out=None):
+        def custom(u):
             shapes.append(u.shape)
-            return kernel(u, out=out)
+            return kernel(u)
 
         X = sample_sphere(3, 50, 0)
         assert _bits(gram(custom, X)) == _bits(gram(kernel, X))
         assert shapes == [(50, 50)]
+        U = np.clip(X @ X.T, -1.0, 1.0)
+        np.fill_diagonal(U, 1.0)
+        assert _bits(gram(lambda u: np.exp(u), X)) == _bits(np.exp(U))
 
     @pytest.mark.parametrize("family", ["rf", "nt"])
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("l", [2, 3])
     def test_scratch_is_the_workspace(self, family, s, l):
-        """``kernel(u, out=u)`` on 2^20 entries holds its workspace and
-        nothing more: three buffers of ``_EVAL_BLOCK`` floats, five for NT
-        from l = 3 on, plus 8 KiB for views and Python objects."""
+        """``kernels._in_place(kernel, u.size)(u)`` on 2^20 entries holds its
+        workspace and nothing more: three buffers of ``_EVAL_BLOCK`` floats,
+        five for NT from l = 3 on, plus 8 KiB for views and Python objects."""
         kernel = make_kernel(family, s, l)
         u = np.random.default_rng(0).uniform(-1.0, 1.0, 1 << 20)
         tracemalloc.start()
         try:
-            kernel(u, out=u)
+            kernels._in_place(kernel, u.size)(u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

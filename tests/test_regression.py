@@ -985,6 +985,35 @@ def _trace_bytes(trace):
             for name in _TRACE_FIELDS]
 
 
+def test_a_plain_function_kernel_gives_the_bits_of_the_kernel_it_wraps():
+    """Every layer takes a vectorised callable u -> kappa(u) as a kernel,
+    carrying ``kappa_one`` where the prior variance is read: a fit, its
+    posterior mean and variance, a greedy trace (on a grid where the product
+    helper may run), information gain and a synthetic target have the bits of
+    the DotProductKernel that the function wraps."""
+    kernel = make_kernel("nt", 2)
+
+    def plain(u):
+        return kernel(u)
+
+    plain.kappa_one = kernel.kappa_one
+    X, x = sample_sphere(3, 300, 0), sample_sphere(3, 700, 1)
+    data = SphericalDataset(X, np.sin(3.0 * X[:, 0]))
+    grid = sample_sphere(3, 1024, 2)
+
+    def results(k):
+        model = fit(k, data, 0.1)
+        target = make_synthetic(k, 3, n0=40, range_sample=500)
+        arrays = [model.L, model.alpha, predict_mean(model, x), predict_variance(model, x),
+                  target.anchor_values, target.weights, target(x),
+                  np.array([model.jitter, information_gain(k, X, 0.1),
+                            target.norm_bound, target.range_normalizer])]
+        return ([a.tobytes() for a in arrays]
+                + _trace_bytes(greedy_max_variance(k, grid, 300, 0.1)))
+
+    assert results(plain) == results(kernel)
+
+
 class _CountingSplit(_greedy._ColumnSplit):
     """The column split, counting the helper threads it started and the
     products it handed over."""
@@ -1038,8 +1067,8 @@ class _PoisonedKernel:
         self.after = after
         self.calls = 0
 
-    def __call__(self, u, out=None):
-        out = self.real(u, out=out)
+    def __call__(self, u):
+        out = self.real(u)
         self.calls += 1
         if self.calls > self.after:
             out[...] = 1e6
